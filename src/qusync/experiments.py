@@ -2,9 +2,11 @@
 
 Each command takes a resolved :class:`~qusync.config.ExperimentConfig`,
 writes CSV datasets plus standalone SVG plots into the output directory, and
-returns the list of files it produced.  Sweep points run through an optional
-process pool; rows are sorted by axis values before writing, so output files
-are byte-identical for identical config and seed.
+returns the list of files it produced.  Points run through an optional
+process pool, which returns results in input order.  ``evolve`` writes each
+xi's files as its trajectory completes and then drops it; the sweeps collect
+all rows and sort them by axis values before writing.  Either way, output
+files are byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .lindblad import (
     NoSteadyStateError,
     PropagationError,
 )
-from .operators import ValidationError, basis_ket, save_matrix_csv
+from .operators import ValidationError, basis_ket, save_matrix_csv, write_csv
 
 __all__ = [
     "NumericalFailure",
@@ -40,11 +42,13 @@ class NumericalFailure(RuntimeError):
 
 
 def _map_points(fn, items, workers: int):
+    """Yield ``fn(item)`` for every item, in input order."""
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        yield from pool.map(fn, items, chunksize=chunk)
 
 
 def _initial_state(cfg: ExperimentConfig) -> np.ndarray:
@@ -79,10 +83,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory CSV and magnetization plot for every xi in the sweep list."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
-                          cfg.workers)
     written = []
-    for xi, res in results:
+    for xi, res in _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
+                               cfg.workers):
         csv_path = out / f"trajectory_{_xi_tag(xi)}.csv"
         lindblad.save_evolution_csv(csv_path, res)
         bloch_path = out / f"bloch_{_xi_tag(xi)}.csv"
@@ -96,6 +99,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
             xlabel="t", ylabel="<sz>",
         )
         written += [csv_path, bloch_path, svg_path]
+        del res  # free this trajectory before the next one is computed
     return written
 
 
@@ -115,8 +119,8 @@ def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Phase shift and phase-locking value versus bath correlation."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _map_points(_sync_point, [(cfg, xi) for xi in cfg.xi_values], cfg.workers)
-    rows.sort(key=lambda r: r[0])
+    rows = sorted(_map_points(_sync_point, [(cfg, xi) for xi in cfg.xi_values],
+                              cfg.workers), key=lambda r: r[0])
     csv_path = out / "sync_sweep.csv"
     phaselock.save_metrics_csv(csv_path, rows)
     xis = [r[0] for r in rows]
@@ -171,19 +175,13 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     points = [(cfg, j, x, g) for j, x, g
               in product(cfg.jxy_values, cfg.xi_values, cfg.gamma_values)]
-    rows = _map_points(_info_point, points, cfg.workers)
-    rows.sort(key=lambda r: (r["xi"], r["gamma"], r["jxy"]))
+    rows = sorted(_map_points(_info_point, points, cfg.workers),
+                  key=lambda r: (r["xi"], r["gamma"], r["jxy"]))
 
     csv_path = out / "info_sweep.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("xi,gamma,jxy,mutual_info,classical_mutual_info,"
-                 "degree_of_quantumness,flag\n")
-        for r in rows:
-            fh.write(
-                f"{r['xi']:.17g},{r['gamma']:.17g},{r['jxy']:.17g},"
-                f"{r['mutual_info']:.17g},{r['classical_mutual_info']:.17g},"
-                f"{r['degree_of_quantumness']:.17g},{r['flag']}\n"
-            )
+    header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
+              "degree_of_quantumness", "flag")
+    write_csv(csv_path, header, [[r[name] for r in rows] for name in header])
     written = [csv_path]
 
     if cfg.save_states:
@@ -243,8 +241,8 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [(cfg, rank, i) for rank in cfg.ranks for i in range(cfg.n_states)]
-    rows = _map_points(_discord_point, points, cfg.workers)
-    rows.sort(key=lambda r: (r[1], r[0]))
+    rows = sorted(_map_points(_discord_point, points, cfg.workers),
+                  key=lambda r: (r[1], r[0]))
     csv_path = out / "discord_bench.csv"
     qinfo.save_discord_csv(csv_path, rows)
     written = [csv_path]

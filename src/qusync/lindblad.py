@@ -22,12 +22,12 @@ from .operators import (
     check_density_matrix,
     kron,
     pauli,
+    write_csv,
 )
 
 __all__ = [
     "Channel",
     "ModelParams",
-    "Liouvillian",
     "EvolutionResult",
     "DegenerateSteadyStateError",
     "NoSteadyStateError",
@@ -111,14 +111,6 @@ class ModelParams:
                 object.__setattr__(self, "channel", Channel(self.channel))
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """16x16 generator acting on column-stacked vectorized states."""
-
-    matrix: np.ndarray
-    params: ModelParams
 
 
 @dataclass
@@ -222,13 +214,16 @@ def dissipator_superoperator(c: np.ndarray) -> np.ndarray:
             - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye)))
 
 
-def build_liouvillian(p: ModelParams) -> Liouvillian:
-    """Assemble the 16x16 generator from the Hamiltonian and both jump ops."""
+def build_liouvillian(p: ModelParams) -> np.ndarray:
+    """Assemble the 16x16 generator from the Hamiltonian and both jump ops.
+
+    The generator acts on column-stacked vectorized states.
+    """
     h = build_hamiltonian(p)
     mat = _commutator_superoperator(h)
     for c in build_collapse_ops(p):
         mat = mat + dissipator_superoperator(c)
-    return Liouvillian(matrix=mat, params=p)
+    return mat
 
 
 def _validate_trajectory(states: np.ndarray, atol: float) -> None:
@@ -277,18 +272,17 @@ def evolve(
     if t_final < dt:
         raise ValidationError(f"t_final must be >= dt, got {t_final}")
     rho0 = check_density_matrix(rho0, name="rho0")
-    liou = build_liouvillian(p)
+    lm = build_liouvillian(p)
     n_steps = int(round(t_final / dt))
     vecs = np.empty((n_steps + 1, 16), dtype=complex)
     v = vectorize(rho0)
     vecs[0] = v
     if method == "expm":
-        prop = expm(liou.matrix * dt)
+        prop = expm(lm * dt)
         for k in range(1, n_steps + 1):
             v = prop @ v
             vecs[k] = v
     elif method == "rk4":
-        lm = liou.matrix
         for k in range(1, n_steps + 1):
             k1 = lm @ v
             k2 = lm @ (v + 0.5 * dt * k1)
@@ -362,7 +356,7 @@ def steady_state(p: ModelParams) -> np.ndarray:
     the purely unitary generator has a degenerate null space, which surfaces
     through :class:`DegenerateSteadyStateError` like any other degeneracy.
     """
-    return steady_state_from_matrix(build_liouvillian(p).matrix)
+    return steady_state_from_matrix(build_liouvillian(p))
 
 
 def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -372,8 +366,7 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     then depends on rho0 through the conserved quantities.
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    liou = build_liouvillian(p)
-    v = expm(liou.matrix * t) @ vectorize(rho0)
+    v = expm(build_liouvillian(p) * t) @ vectorize(rho0)
     rho = unvectorize(v)
     rho = (rho + rho.conj().T) / 2.0
     return rho / rho.trace().real
@@ -381,23 +374,19 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:
     obs = result.observables
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(OBSERVABLE_NAMES) + "\n")
-        for k, t in enumerate(result.times):
-            cells = [f"{t:.17g}"] + [f"{obs[n][k]:.17g}" for n in OBSERVABLE_NAMES]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, ("t",) + OBSERVABLE_NAMES,
+              [result.times] + [obs[n] for n in OBSERVABLE_NAMES])
 
 
 def save_bloch_csv(path, result: EvolutionResult) -> None:
-    """Write per-qubit Bloch vectors (x, y, z components) along a trajectory."""
-    i2 = pauli("id")
-    comps = []
-    for axis in ("x", "y", "z"):
-        comps.append(np.einsum("nij,ji->n", result.states, kron(pauli(axis), i2)).real)
-    for axis in ("x", "y", "z"):
-        comps.append(np.einsum("nij,ji->n", result.states, kron(i2, pauli(axis))).real)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,bx1,by1,bz1,bx2,by2,bz2\n")
-        for k, t in enumerate(result.times):
-            cells = [f"{t:.17g}"] + [f"{c[k]:.17g}" for c in comps]
-            fh.write(",".join(cells) + "\n")
+    """Write per-qubit Bloch vectors (x, y, z components) along a trajectory.
+
+    The x and z components are the ``sx``/``sz`` observables; only the y
+    components are computed here.
+    """
+    i2, sy = pauli("id"), pauli("y")
+    obs = result.observables
+    by1 = np.einsum("nij,ji->n", result.states, kron(sy, i2)).real
+    by2 = np.einsum("nij,ji->n", result.states, kron(i2, sy)).real
+    write_csv(path, ("t", "bx1", "by1", "bz1", "bx2", "by2", "bz2"),
+              [result.times, obs["sx1"], by1, obs["sz1"], obs["sx2"], by2, obs["sz2"]])

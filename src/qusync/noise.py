@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .operators import ValidationError
+from .operators import ValidationError, write_csv
 
 __all__ = [
     "OUParams",
@@ -177,7 +177,4 @@ def correlation_transform(xi: float) -> tuple[np.ndarray, tuple[float, float]]:
 
 
 def save_trajectory_csv(path, traj: NoiseTrajectory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,E1,E2\n")
-        for t, (e1, e2) in zip(traj.times, traj.values):
-            fh.write(f"{t:.17g},{e1:.17g},{e2:.17g}\n")
+    write_csv(path, ("t", "E1", "E2"), [traj.times, traj.e1, traj.e2])

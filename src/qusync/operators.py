@@ -18,13 +18,13 @@ __all__ = [
     "DimensionError",
     "pauli",
     "kron",
-    "dag",
     "commutator",
     "basis_ket",
     "partial_trace",
     "eig_hermitian",
     "clamp_spectrum",
     "check_density_matrix",
+    "write_csv",
     "save_matrix_csv",
     "load_matrix_csv",
 ]
@@ -73,10 +73,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-def dag(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,20 +169,34 @@ def check_density_matrix(
     return rho
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns as CSV rows, one cell format per column.
+
+    Each column's dtype picks its format: floats ``%.17g``, integers ``%d``,
+    complex ``re+imj`` with 17 digits per part, strings as given.
+    ``header`` is a sequence of column names, or ``None`` for no header line.
+    """
+    # Cell format by dtype kind; 17 significant digits round-trip float64.
+    cell_format = {"f": "%.17g", "i": "%d", "u": "%d", "c": "%.17g%+.17gj",
+                   "U": "%s", "O": "%s"}
+    formats, values = [], []
+    for col in columns:
+        col = np.asarray(col)
+        formats.append(cell_format[col.dtype.kind])
+        if col.dtype.kind == "c":
+            values += [col.real.tolist(), col.imag.tolist()]
+        else:
+            values.append(col.tolist())
+    template = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.write("".join(template % row for row in zip(*values, strict=True)))
 
 
 def save_matrix_csv(path, m: np.ndarray) -> None:
-    """Write a complex matrix as CSV, one matrix row per line.
-
-    Entries are rendered ``re+imj`` with 17 significant digits, which
-    round-trips float64 exactly.
-    """
-    m = np.asarray(m, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in m:
-            fh.write(",".join(_format_complex(z) for z in row) + "\n")
+    """Write a complex matrix as CSV, one matrix row per line, no header."""
+    write_csv(path, None, np.asarray(m, dtype=complex).T)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import hilbert
 
-from .operators import ValidationError
+from .operators import ValidationError, write_csv
 
 __all__ = [
     "TimeSeries",
@@ -129,7 +129,4 @@ def sync_metrics(
 
 def save_metrics_csv(path, rows) -> None:
     """Write sweep metrics rows of (xi, gamma, jxy, delta_phi, plv)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("xi,gamma,jxy,delta_phi,plv\n")
-        for xi, gamma, jxy, dphi, plv in rows:
-            fh.write(f"{xi:.17g},{gamma:.17g},{jxy:.17g},{dphi:.17g},{plv:.17g}\n")
+    write_csv(path, ("xi", "gamma", "jxy", "delta_phi", "plv"), list(zip(*rows)))

@@ -25,6 +25,7 @@ from .operators import (
     clamp_spectrum,
     partial_trace,
     pauli,
+    write_csv,
 )
 
 __all__ = [
@@ -337,13 +338,6 @@ def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:
 def save_discord_csv(path, rows) -> None:
     """Write benchmark rows: seed, rank, purity, mutual_info, discord,
     classical_corr, degree_of_quantumness, theta_opt, phi_opt."""
-    header = (
-        "seed,rank,purity,mutual_info,discord,classical_corr,"
-        "degree_of_quantumness,theta_opt,phi_opt"
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            seed, rank = int(row[0]), int(row[1])
-            rest = ",".join(f"{float(x):.17g}" for x in row[2:])
-            fh.write(f"{seed},{rank},{rest}\n")
+    header = ("seed", "rank", "purity", "mutual_info", "discord", "classical_corr",
+              "degree_of_quantumness", "theta_opt", "phi_opt")
+    write_csv(path, header, list(zip(*rows)))

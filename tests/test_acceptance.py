@@ -121,7 +121,7 @@ def test_c3_steady_state_cross_validation():
             p = fig_params(xi, gamma=gamma)
             rho_ss = lb.steady_state(p)
             resid = float(np.linalg.norm(
-                lb.build_liouvillian(p).matrix @ lb.vectorize(rho_ss)))
+                lb.build_liouvillian(p) @ lb.vectorize(rho_ss)))
             final = lb.evolve(p, RHO0, t_final=500.0, dt=0.5).states[-1]
             worst_dist = max(worst_dist, trace_distance(final, rho_ss))
             worst_resid = max(worst_resid, resid)

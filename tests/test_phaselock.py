@@ -134,4 +134,5 @@ def test_metrics_csv(tmp_path):
     pl.save_metrics_csv(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "xi,gamma,jxy,delta_phi,plv"
+    assert lines[1] == "-1,0.050000000000000003,0.25,3.1400000000000001,0.98999999999999999"
     assert len(lines) == 3
