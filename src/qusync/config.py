@@ -17,15 +17,6 @@ from .qinfo import EntropyUnit
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
 
-_VALID_KEYS = {
-    "model": {"delta", "tau", "j_xy", "gamma", "xi", "channel"},
-    "evolution": {"initial_state", "t_final", "dt", "t_relax"},
-    "analysis": {"window_fraction", "unit"},
-    "sweep": {"xi", "gamma", "j_xy"},
-    "discord": {"n_states", "ranks"},
-    "output": {"directory", "seed", "workers", "save_states"},
-}
-
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
@@ -88,42 +79,6 @@ class ExperimentConfig:
         return self
 
 
-def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Parse INI-style text into {section: {key: (raw value, line number)}}."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in _VALID_KEYS:
-                raise ConfigError(f"line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _VALID_KEYS[current]:
-            raise ConfigError(f"line {lineno}: unknown key '{key}' in [{current}]")
-        sections[current][key] = (value.split("#")[0].strip(), lineno)
-    return sections
-
-
-def _get(sections, section, key, conv, default, what):
-    if section not in sections or key not in sections[section]:
-        return default
-    raw, lineno = sections[section][key]
-    try:
-        return conv(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"line {lineno}: {key} must be {what}, got {raw!r}") from exc
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
@@ -141,6 +96,71 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# Every config key: section -> key -> (field, converter, what the value must
+# be).  [model] keys set ModelParams fields, all others ExperimentConfig fields.
+# The bath correlation xi comes only from [sweep] xi.
+_SCHEMA = {
+    "model": {
+        "delta": ("delta", float, "a number"),
+        "tau": ("tau", float, "a number"),
+        "j_xy": ("j_xy", float, "a number"),
+        "gamma": ("gamma", float, "a number"),
+        "channel": ("channel", lambda s: Channel(s.lower()), "one of raise/lower/x/z"),
+    },
+    "evolution": {
+        "initial_state": ("initial_state", str, "a bit label"),
+        "t_final": ("t_final", float, "a number"),
+        "dt": ("dt", float, "a number"),
+        "t_relax": ("t_relax", float, "a number"),
+    },
+    "analysis": {
+        "window_fraction": ("window_fraction", float, "a number"),
+        "unit": ("unit", lambda s: EntropyUnit(s.lower()), "bits or nats"),
+    },
+    "sweep": {
+        "xi": ("xi_values", _float_list, "a list of numbers"),
+        "gamma": ("gamma_values", _float_list, "a list of numbers"),
+        "j_xy": ("jxy_values", _float_list, "a list of numbers"),
+    },
+    "discord": {
+        "n_states": ("n_states", int, "an integer"),
+        "ranks": ("ranks", _int_list, "a list of integers"),
+    },
+    "output": {
+        "directory": ("out_dir", str, "a path"),
+        "seed": ("seed", int, "an integer"),
+        "workers": ("workers", int, "an integer"),
+        "save_states": ("save_states", _bool, "a boolean"),
+    },
+}
+
+
+def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
+    """Parse INI-style text into {section: {key: (raw value, line number)}}."""
+    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    current: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", ";")):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            if current not in _SCHEMA:
+                raise ConfigError(f"line {lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if current is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if key not in _SCHEMA[current]:
+            raise ConfigError(f"line {lineno}: unknown key '{key}' in [{current}]")
+        sections[current][key] = (value.split("#")[0].strip(), lineno)
+    return sections
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate a config file; missing entries keep their defaults."""
     try:
@@ -149,47 +169,20 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    defaults = ExperimentConfig()
+    model_fields, config_fields = {}, {}
+    for section, entries in sections.items():
+        target = model_fields if section == "model" else config_fields
+        for key, (raw, lineno) in entries.items():
+            name, conv, what = _SCHEMA[section][key]
+            try:
+                target[name] = conv(raw)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"line {lineno}: {key} must be {what}, got {raw!r}") from exc
     try:
-        model = ModelParams(
-            delta=_get(sections, "model", "delta", float, defaults.model.delta, "a number"),
-            tau=_get(sections, "model", "tau", float, defaults.model.tau, "a number"),
-            j_xy=_get(sections, "model", "j_xy", float, defaults.model.j_xy, "a number"),
-            gamma=_get(sections, "model", "gamma", float, defaults.model.gamma, "a number"),
-            xi=_get(sections, "model", "xi", float, defaults.model.xi, "a number"),
-            channel=_get(sections, "model", "channel", lambda s: Channel(s.lower()),
-                         defaults.model.channel, "one of raise/lower/x/z"),
-        )
+        model = ModelParams(**model_fields)
     except ValueError as exc:
         raise ConfigError(f"invalid [model] parameters: {exc}") from exc
-
-    cfg = ExperimentConfig(
-        model=model,
-        initial_state=_get(sections, "evolution", "initial_state", str,
-                           defaults.initial_state, "a bit label"),
-        t_final=_get(sections, "evolution", "t_final", float, defaults.t_final, "a number"),
-        dt=_get(sections, "evolution", "dt", float, defaults.dt, "a number"),
-        t_relax=_get(sections, "evolution", "t_relax", float, defaults.t_relax, "a number"),
-        window_fraction=_get(sections, "analysis", "window_fraction", float,
-                             defaults.window_fraction, "a number"),
-        unit=_get(sections, "analysis", "unit", lambda s: EntropyUnit(s.lower()),
-                  defaults.unit, "bits or nats"),
-        xi_values=_get(sections, "sweep", "xi", _float_list, defaults.xi_values,
-                       "a list of numbers"),
-        gamma_values=_get(sections, "sweep", "gamma", _float_list, defaults.gamma_values,
-                          "a list of numbers"),
-        jxy_values=_get(sections, "sweep", "j_xy", _float_list, defaults.jxy_values,
-                        "a list of numbers"),
-        n_states=_get(sections, "discord", "n_states", int, defaults.n_states, "an integer"),
-        ranks=_get(sections, "discord", "ranks", _int_list, defaults.ranks,
-                   "a list of integers"),
-        out_dir=_get(sections, "output", "directory", str, defaults.out_dir, "a path"),
-        seed=_get(sections, "output", "seed", int, defaults.seed, "an integer"),
-        workers=_get(sections, "output", "workers", int, defaults.workers, "an integer"),
-        save_states=_get(sections, "output", "save_states", _bool, defaults.save_states,
-                         "a boolean"),
-    )
-    return cfg.validate()
+    return ExperimentConfig(model=model, **config_fields).validate()
 
 
 def apply_overrides(cfg: ExperimentConfig, *, out_dir=None, seed=None, unit=None

@@ -230,7 +230,8 @@ def _discord_point(args):
     rho = qinfo.random_density_matrix(4, rank, state_seed)
     purity = float(np.trace(rho @ rho).real)
     result = qinfo.discord_min(rho, cfg.unit)
-    dq = qinfo.degree_of_quantumness(rho, (2, 2), cfg.unit)
+    # degree of quantumness, reusing the I(A:B) that discord_min computed
+    dq = result.mutual_information - qinfo.classical_mutual_information(rho, (2, 2), cfg.unit)
     return (state_seed, rank, purity, result.mutual_information, result.discord,
             result.classical_correlation, dq,
             result.optimal_basis.theta, result.optimal_basis.phi)

@@ -52,6 +52,12 @@ __all__ = [
 
 OBSERVABLE_NAMES = ("sz1", "sz2", "sx1", "sx2", "purity")
 
+# Numerical tolerances: every recorded state's invariants (``evolve``); the
+# null-space eigenvalue and the existence bound (``steady_state_from_matrix``).
+STATE_ATOL = 1e-8
+NULL_ATOL = 1e-10
+EXIST_ATOL = 1e-8
+
 
 class DegenerateSteadyStateError(RuntimeError):
     """Null space of the Liouvillian has dimension > 1.
@@ -86,6 +92,20 @@ class Channel(enum.Enum):
     @property
     def operator(self) -> np.ndarray:
         return pauli({"raise": "plus", "lower": "minus", "x": "x", "z": "z"}[self.value])
+
+
+_I2 = pauli("id")
+# Parameter-free two-qubit operators, built once and read-only: the Pauli
+# matrices on each qubit, the exchange term s1+ s2- + s1- s2+, and for each
+# channel its operator on qubit 1 and on qubit 2.
+_OPS = {
+    **{f"s{axis}1": kron(pauli(axis), _I2) for axis in "xyz"},
+    **{f"s{axis}2": kron(_I2, pauli(axis)) for axis in "xyz"},
+    "exchange": kron(pauli("plus"), pauli("minus")) + kron(pauli("minus"), pauli("plus")),
+}
+_SITE_OPS = {ch: (kron(ch.operator, _I2), kron(_I2, ch.operator)) for ch in Channel}
+for _m in [*_OPS.values(), *(m for pair in _SITE_OPS.values() for m in pair)]:
+    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -124,20 +144,14 @@ class EvolutionResult:
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """H = delta/2 (sz1 + sz2) + tau/2 (sx1 + sx2) + j_xy (s1+ s2- + s2+ s1-)."""
-    i2 = pauli("id")
-    sz, sx = pauli("z"), pauli("x")
-    sp, sm = pauli("plus"), pauli("minus")
-    h = p.delta / 2.0 * (kron(sz, i2) + kron(i2, sz))
-    h = h + p.tau / 2.0 * (kron(sx, i2) + kron(i2, sx))
-    h = h + p.j_xy * (kron(sp, sm) + kron(sm, sp))
-    return h
+    h = p.delta / 2.0 * (_OPS["sz1"] + _OPS["sz2"])
+    h = h + p.tau / 2.0 * (_OPS["sx1"] + _OPS["sx2"])
+    return h + p.j_xy * _OPS["exchange"]
 
 
 def site_operators(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Channel operator embedded on qubit 1 and on qubit 2."""
-    op = p.channel.operator
-    i2 = pauli("id")
-    return kron(op, i2), kron(i2, op)
+    """Channel operator embedded on qubit 1 and on qubit 2 (read-only)."""
+    return _SITE_OPS[p.channel]
 
 
 def build_collapse_ops(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +268,6 @@ def evolve(
     t_final: float,
     dt: float,
     method: str = "expm",
-    state_atol: float = 1e-8,
 ) -> EvolutionResult:
     """Propagate rho0 on a uniform grid, recording states and observables.
 
@@ -264,8 +277,9 @@ def evolve(
     Runge-Kutta alternative kept for cross-validation.
 
     Every recorded state is checked against the density-matrix invariants at
-    tolerance ``state_atol``; a violation raises :class:`PropagationError`
-    naming the step and the invariant.
+    tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
+    naming the step and the invariant.  The observables are the Pauli
+    expectations ``s{x,y,z}{1,2}`` and the purity.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -294,35 +308,24 @@ def evolve(
         raise ValidationError(f"unknown propagation method {method!r}")
 
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
-    _validate_trajectory(states, state_atol)
+    _validate_trajectory(states, STATE_ATOL)
 
-    i2 = pauli("id")
-    obs_ops = {
-        "sz1": kron(pauli("z"), i2),
-        "sz2": kron(i2, pauli("z")),
-        "sx1": kron(pauli("x"), i2),
-        "sx2": kron(i2, pauli("x")),
-    }
     observables = {
-        name: np.einsum("nij,ji->n", states, op).real
-        for name, op in obs_ops.items()
+        name: np.einsum("nij,ji->n", states, _OPS[name]).real
+        for name in ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
     }
     observables["purity"] = np.einsum("nij,nji->n", states, states).real
     times = np.arange(n_steps + 1) * dt
     return EvolutionResult(times=times, states=states, observables=observables)
 
 
-def steady_state_from_matrix(
-    mat: np.ndarray,
-    null_atol: float = 1e-10,
-    exist_atol: float = 1e-8,
-) -> np.ndarray:
+def steady_state_from_matrix(mat: np.ndarray) -> np.ndarray:
     """Steady state from the null space of a generator matrix.
 
     The null-space eigenvector is Hermitized and trace-normalized.  A null
-    space of dimension > 1 at ``null_atol`` raises
+    space of dimension > 1 at ``NULL_ATOL`` raises
     :class:`DegenerateSteadyStateError` carrying all candidates; no eigenvalue
-    below ``exist_atol`` raises :class:`NoSteadyStateError`.
+    below ``EXIST_ATOL`` raises :class:`NoSteadyStateError`.
     """
     evals, evecs = np.linalg.eig(mat)
     order = np.argsort(np.abs(evals))
@@ -334,10 +337,10 @@ def steady_state_from_matrix(
         tr = m.trace().real
         return m / tr if abs(tr) > 1e-8 else m
 
-    null_idx = [i for i in order if abs(evals[i]) <= null_atol]
+    null_idx = [i for i in order if abs(evals[i]) <= NULL_ATOL]
     if len(null_idx) > 1:
         raise DegenerateSteadyStateError([_to_state(evecs[:, i]) for i in null_idx])
-    if abs(evals[order[0]]) >= exist_atol:
+    if abs(evals[order[0]]) >= EXIST_ATOL:
         raise NoSteadyStateError(
             f"smallest |eigenvalue| is {abs(evals[order[0]]):.3e}, no fixed point"
         )
@@ -379,14 +382,8 @@ def save_evolution_csv(path, result: EvolutionResult) -> None:
 
 
 def save_bloch_csv(path, result: EvolutionResult) -> None:
-    """Write per-qubit Bloch vectors (x, y, z components) along a trajectory.
-
-    The x and z components are the ``sx``/``sz`` observables; only the y
-    components are computed here.
-    """
-    i2, sy = pauli("id"), pauli("y")
+    """Write per-qubit Bloch vectors (x, y, z components) along a trajectory:
+    the ``s{x,y,z}{1,2}`` observables."""
     obs = result.observables
-    by1 = np.einsum("nij,ji->n", result.states, kron(sy, i2)).real
-    by2 = np.einsum("nij,ji->n", result.states, kron(i2, sy)).real
     write_csv(path, ("t", "bx1", "by1", "bz1", "bx2", "by2", "bz2"),
-              [result.times, obs["sx1"], by1, obs["sz1"], obs["sx2"], by2, obs["sz2"]])
+              [result.times] + [obs[f"s{axis}{site}"] for site in (1, 2) for axis in "xyz"])

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .operators import ValidationError, write_csv
 
@@ -128,6 +127,8 @@ def sample_ou(
         decay = np.exp(-a * dt)
     else:
         raise ValidationError(f"unknown sampling method {method!r}")
+
+    from scipy.signal import lfilter  # kept off the package import path: it is slow to load
 
     values = np.zeros((n_steps + 1, 2))
     for ch in (0, 1):

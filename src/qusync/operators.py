@@ -33,6 +33,9 @@ __all__ = [
 # anything more negative is a genuine positivity violation.
 EIG_CLAMP = 1e-10
 
+# Largest deviation from Hermiticity that eig_hermitian accepts (max norm).
+EIGH_HERM_ATOL = 1e-8
+
 
 class ValidationError(ValueError):
     """Input violates a documented invariant (hermiticity, trace, range...)."""
@@ -117,18 +120,18 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def eig_hermitian(m: np.ndarray, herm_atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Returns ``(w, v)`` with ``m @ v = v @ diag(w)``.  Raises
     :class:`ValidationError` if ``m`` deviates from Hermiticity by more than
-    ``herm_atol`` in max norm.
+    ``EIGH_HERM_ATOL`` in max norm.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
-    if dev > herm_atol:
+    if dev > EIGH_HERM_ATOL:
         raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigh(m)
 

@@ -48,6 +48,11 @@ __all__ = [
 # Outcomes below this probability are dropped; their p log p limit is zero.
 PROB_FLOOR = 1e-12
 
+# discord_min: the (theta, phi) grid over the Bloch sphere, and the angle
+# tolerance of the local refinement that follows it.
+N_THETA, N_PHI = 64, 128
+ANGLE_TOL = 1e-6
+
 
 class EntropyUnit(enum.Enum):
     BITS = "bits"
@@ -234,24 +239,18 @@ def _conditional_entropy_surface(
     return total.reshape(len(thetas), len(phis))
 
 
-def discord_min(
-    rho_ab: np.ndarray,
-    unit: EntropyUnit = EntropyUnit.BITS,
-    n_theta: int = 64,
-    n_phi: int = 128,
-    angle_tol: float = 1e-6,
-) -> DiscordResult:
+def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> DiscordResult:
     """Quantum discord D(A|B) over two-element orthogonal measurements on B.
 
     I(A:B) minus the classical correlation maximized over the measurement,
     found by a coarse grid over the Bloch sphere followed by derivative-free
-    local refinement of the conditional entropy down to ``angle_tol``.  The
+    local refinement of the conditional entropy down to ``ANGLE_TOL``.  The
     grid stage is global, so the smooth two-parameter landscape cannot trap
     the refinement in a secondary basin.  The result is clipped below at 0.
     """
     rho_ab = _require_two_qubits(rho_ab)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, N_THETA)
+    phis = np.linspace(0.0, 2.0 * math.pi, N_PHI, endpoint=False)
     surface = _conditional_entropy_surface(rho_ab, thetas, phis)
     i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
 
@@ -266,7 +265,7 @@ def discord_min(
         objective,
         x0=np.array([thetas[i0], phis[j0]]),
         method="Nelder-Mead",
-        options={"xatol": angle_tol, "fatol": 1e-14, "maxiter": 400},
+        options={"xatol": ANGLE_TOL, "fatol": 1e-14, "maxiter": 400},
     )
     best = min(float(res.fun), float(surface[i0, j0]))
     x_best = res.x if float(res.fun) <= float(surface[i0, j0]) else (thetas[i0], phis[j0])

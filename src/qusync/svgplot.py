@@ -135,13 +135,12 @@ def line_plot(
     ylabel: str = "",
     xscale: str = "linear",
     bands=None,
-    markers: bool = False,
 ) -> None:
     """Polyline chart.
 
-    ``curves`` is a list of (label, x, y[, style]) with style "line", "dash"
-    or "markers"; ``bands`` is an optional list of (x, y_low, y_high) shaded
-    regions drawn behind the curves.
+    ``curves`` is a list of (label, x, y[, style]) with style "line" (the
+    default), "dash" or "markers"; ``bands`` is an optional list of
+    (x, y_low, y_high) shaded regions drawn behind the curves.
     """
     xs = [x for curve in curves for x in curve[1]]
     ys = [y for curve in curves for y in curve[2]]
@@ -162,7 +161,7 @@ def line_plot(
 
     for idx, curve in enumerate(curves):
         label, cx, cy = curve[0], curve[1], curve[2]
-        style = curve[3] if len(curve) > 3 else ("markers" if markers else "line")
+        style = curve[3] if len(curve) > 3 else "line"
         color = PALETTE[idx % len(PALETTE)]
         pts = [to_px(x, y) for x, y in zip(cx, cy)]
         if style in ("line", "dash"):

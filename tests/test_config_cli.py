@@ -1,12 +1,29 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qusync
 from qusync import cli
-from qusync.config import ConfigError, ExperimentConfig, load_config, parse_config_text
-from qusync.experiments import NumericalFailure, cmd_discord_bench, cmd_info_sweep
-from qusync.lindblad import Channel
+from qusync.config import (
+    _SCHEMA,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
+from qusync.experiments import (
+    NumericalFailure,
+    cmd_discord_bench,
+    cmd_evolve,
+    cmd_info_sweep,
+)
+from qusync.lindblad import Channel, ModelParams
 from qusync.qinfo import EntropyUnit
 
 SMALL_SYNC = """
@@ -83,6 +100,9 @@ def test_parse_rejects_unknown_section_and_key():
         parse_config_text("[qubits]\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("[model]\nfrequency = 3\n")
+    # xi is swept, so it comes only from [sweep] xi
+    with pytest.raises(ConfigError, match=r"line 3: unknown key 'xi' in \[model\]"):
+        parse_config_text("[model]\ndelta = 1.0\nxi = 0.2\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("delta = 1\n")
     with pytest.raises(ConfigError, match="line 2"):
@@ -99,7 +119,7 @@ def test_load_config_reports_bad_value_line(tmp_path):
 def test_load_config_full_round_trip(tmp_path):
     path = tmp_path / "full.ini"
     path.write_text(
-        "[model]\ndelta = 2\ntau = 0.5\nj_xy = -1\ngamma = 0.1\nxi = 0.2\n"
+        "[model]\ndelta = 2\ntau = 0.5\nj_xy = -1\ngamma = 0.1\n"
         "channel = lower\n"
         "[evolution]\ninitial_state = 01\nt_final = 10\ndt = 0.05\n"
         "[analysis]\nwindow_fraction = 0.5\nunit = nats\n"
@@ -109,12 +129,20 @@ def test_load_config_full_round_trip(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.model.channel is Channel.LOWER
-    assert cfg.model.delta == 2.0 and cfg.model.xi == 0.2
+    assert cfg.model.delta == 2.0
     assert cfg.initial_state == "01"
     assert cfg.unit is EntropyUnit.NATS
     assert cfg.xi_values == (-0.5, 0.5)
     assert cfg.ranks == (2,)
     assert cfg.workers == 2 and cfg.save_states is True
+
+
+def test_schema_covers_exactly_the_config_fields():
+    model_keys = {name for name, _, _ in _SCHEMA["model"].values()}
+    other_keys = {name for section, keys in _SCHEMA.items() if section != "model"
+                  for name, _, _ in keys.values()}
+    assert model_keys == {f.name for f in fields(ModelParams)} - {"xi"}
+    assert other_keys == {f.name for f in fields(ExperimentConfig)} - {"model"}
 
 
 def test_validation_errors():
@@ -260,17 +288,29 @@ def test_cli_outputs_deterministic(tmp_path):
     assert a == b
 
 
-def test_worker_pool_matches_serial(tmp_path):
+@pytest.mark.parametrize("command, settings", [
+    (cmd_discord_bench, {"n_states": 3, "ranks": (2,), "seed": 3}),
+    (cmd_evolve, {"xi_values": (-0.5, 0.5, 1.0), "t_final": 20.0}),
+], ids=["discord_bench", "evolve"])
+def test_worker_pool_matches_serial(tmp_path, command, settings):
     from dataclasses import replace
 
-    base = ExperimentConfig(
-        n_states=3, ranks=(2,), out_dir=str(tmp_path / "serial"), seed=3
-    ).validate()
-    cmd_discord_bench(base)
-    cmd_discord_bench(replace(base, workers=2, out_dir=str(tmp_path / "pool")))
-    a = (tmp_path / "serial" / "discord_bench.csv").read_bytes()
-    b = (tmp_path / "pool" / "discord_bench.csv").read_bytes()
-    assert a == b
+    base = ExperimentConfig(out_dir=str(tmp_path / "serial"), **settings).validate()
+    command(base)
+    command(replace(base, workers=2, out_dir=str(tmp_path / "pool")))
+    serial = sorted((tmp_path / "serial").glob("*.csv"))
+    assert serial
+    assert [p.name for p in serial] == sorted(p.name for p in (tmp_path / "pool").glob("*.csv"))
+    for path in serial:
+        assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes(), path.name
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    code = "import sys, qusync.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qusync.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_info_sweep_save_states(tmp_path):
