@@ -76,7 +76,8 @@ def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
                                  cfg.t_final, cfg.dt)
     except (ValidationError, PropagationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"evolution failed at xi={xi:+.3f}: {exc}") from exc
-    return xi, result
+    # callers read only times and observables, so the states are not sent back
+    return xi, replace(result, states=None)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:

@@ -254,6 +254,15 @@ def _validate_trajectory(states: np.ndarray, atol: float) -> None:
         raise PropagationError(
             f"unit trace violated at step {step}: deviation {trace[step]:.3e}"
         )
+    # rho + atol*I has a Cholesky factor exactly when no eigenvalue of rho is
+    # below -atol; only a failed factorization pays for the spectra that name
+    # the step and the value.  A NaN state yields a NaN factor, not an error,
+    # so it takes the spectra path too.
+    try:
+        if np.isfinite(np.linalg.cholesky(states + atol * np.eye(states.shape[-1]))).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
     eigmin = np.linalg.eigvalsh(states).min(axis=1)
     if eigmin.min() < -atol:
         step = int(np.argmin(eigmin))

@@ -5,6 +5,15 @@ discord minimized over two-element orthogonal measurements on qubit B, the
 diagonal-truncation classical mutual information, the quantumness lower bound
 built from it, and fixed-rank random density matrices.
 
+Discord is computed in correlation-matrix form: with
+rho = sum R[mu, nu] sigma_mu x sigma_nu / 4, measuring B along the Bloch
+direction n leaves A with probability (1 +- b.n)/2 in the Bloch vector
+(a +- T n)/(1 +- b.n), so the conditional entropy is a closed form in the 15
+real numbers a, b and T.  A two-outcome measurement along n is the same as
+along -n, so its search covers only the hemisphere theta <= pi/2.
+:class:`MeasurementBasis`, :func:`measure_on_b` and
+:func:`conditional_entropy` keep the explicit projector path.
+
 Entropies default to bits, so a maximally entangled pure state has discord 1;
 nats are selectable everywhere through :class:`EntropyUnit`.
 """
@@ -48,8 +57,9 @@ __all__ = [
 # Outcomes below this probability are dropped; their p log p limit is zero.
 PROB_FLOOR = 1e-12
 
-# discord_min: the (theta, phi) grid over the Bloch sphere, and the angle
-# tolerance of the local refinement that follows it.
+# discord_min: the (theta, phi) grid, of which the theta <= pi/2 hemisphere
+# (N_THETA // 2 + 1 rows) is scanned, and the angle tolerance of the local
+# refinement that follows it.
 N_THETA, N_PHI = 64, 128
 ANGLE_TOL = 1e-6
 
@@ -202,73 +212,102 @@ def classical_correlation(
     return s_a * unit.per_nat - conditional_entropy(rho_ab, basis, unit)
 
 
-def _conditional_entropy_surface(
-    rho_ab: np.ndarray, thetas: np.ndarray, phis: np.ndarray
-) -> np.ndarray:
-    """Conditional entropy in nats over a (theta, phi) measurement grid.
+# sigma_0 = I and sigma_1..3 = x, y, z: the basis of the correlation matrix.
+_SIGMA = np.stack([pauli(k) for k in ("id", "x", "y", "z")])
+_SIGMA.setflags(write=False)
 
-    Vectorized over the grid: the unnormalized conditional state for
-    projector P is tr_B[(I x P) rho], and 2x2 spectra come from the
-    trace/determinant closed form.
+
+def _correlation_matrix(rho_ab: np.ndarray) -> np.ndarray:
+    """R[mu, nu] = tr(rho (sigma_mu x sigma_nu)), so that
+    rho = sum R[mu, nu] sigma_mu x sigma_nu / 4.
+
+    R[0, 0] = 1, R[1:, 0] is A's Bloch vector a, R[0, 1:] is B's Bloch
+    vector b, and R[1:, 1:] is the correlation tensor T.
     """
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    flat_t, flat_p = tt.ravel(), pp.ravel()
-    n_dot = (
-        (np.sin(flat_t) * np.cos(flat_p))[:, None, None] * pauli("x")
-        + (np.sin(flat_t) * np.sin(flat_p))[:, None, None] * pauli("y")
-        + np.cos(flat_t)[:, None, None] * pauli("z")
-    )
-    proj = (pauli("id")[None, :, :] + n_dot) / 2.0
-    r4 = rho_ab.reshape(2, 2, 2, 2)
-    # cond[a, c] = sum_{b, d} rho[(a b), (c d)] P[d, b]
-    cond_plus = np.einsum("abcd,ndb->nac", r4, proj)
-    rho_a = np.einsum("abcb->ac", r4)
-    total = np.zeros(proj.shape[0])
-    for cond in (cond_plus, rho_a[None, :, :] - cond_plus):
-        p = np.einsum("naa->n", cond).real
+    return np.einsum("abcd,mca,ndb->mn", rho_ab.reshape(2, 2, 2, 2), _SIGMA, _SIGMA).real
+
+
+def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Conditional entropy in nats for measurement directions ``n`` of shape
+    (..., 3), from the correlation matrix ``r``.
+
+    Outcome +-1 along n leaves A in sum_mu u_mu sigma_mu / 4 with
+    u = R (1, +-n): probability p = u_0 / 2 = (1 +- b.n) / 2 and Bloch vector
+    (a +- T n) / u_0, whose length l gives the spectrum (1 +- l) / 2.
+    """
+    t_n = n @ r[:, 1:].T
+    total = 0.0
+    for sign in (1.0, -1.0):
+        u = r[:, 0] + sign * t_n
+        p = u[..., 0] / 2.0
         live = p > PROB_FLOOR
-        norm = np.where(live, p, 1.0)
-        c = cond / norm[:, None, None]
-        det = (c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]).real
-        gap = np.sqrt(np.clip(0.25 - det, 0.0, None))
-        lam = np.stack([0.5 - gap, 0.5 + gap], axis=-1)
-        lam = np.clip(lam, 0.0, None)
+        gap = np.linalg.norm(u[..., 1:], axis=-1) / (2.0 * np.where(live, u[..., 0], 1.0))
+        lam = np.clip(np.stack([0.5 - gap, 0.5 + gap], axis=-1), 0.0, None)
         safe = np.where(lam > PROB_FLOOR, lam, 1.0)
-        s = -(safe * np.log(safe)).sum(axis=-1)
-        total += np.where(live, p * s, 0.0)
-    return total.reshape(len(thetas), len(phis))
+        total = total + np.where(live, p * -(safe * np.log(safe)).sum(axis=-1), 0.0)
+    return total
+
+
+def _conditional_entropy_at(rows, theta: float, phi: float) -> float:
+    """:func:`_conditional_entropy_grid` at one direction, in plain floats;
+    ``rows`` is the correlation matrix as nested lists."""
+    sin_t = math.sin(theta)
+    nx, ny, nz = sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        u0, u1, u2, u3 = (r0 + sign * (r1 * nx + r2 * ny + r3 * nz) for r0, r1, r2, r3 in rows)
+        p = u0 / 2.0
+        if p > PROB_FLOOR:
+            gap = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3) / (2.0 * u0)
+            for lam in (0.5 - gap, 0.5 + gap):
+                if lam > PROB_FLOOR:
+                    total -= p * lam * math.log(lam)
+    return total
+
+
+# The discord search grid, built once: its angles and the Bloch direction
+# at each (theta, phi), shape (N_THETA // 2 + 1, N_PHI, 3).
+_GRID_THETAS = np.linspace(0.0, math.pi / 2.0, N_THETA // 2 + 1)
+_GRID_PHIS = np.linspace(0.0, 2.0 * math.pi, N_PHI, endpoint=False)
+_tt, _pp = np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij")
+_GRID_N = np.stack([np.sin(_tt) * np.cos(_pp), np.sin(_tt) * np.sin(_pp), np.cos(_tt)],
+                   axis=-1)
+for _m in (_GRID_THETAS, _GRID_PHIS, _GRID_N):
+    _m.setflags(write=False)
+del _tt, _pp
 
 
 def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> DiscordResult:
     """Quantum discord D(A|B) over two-element orthogonal measurements on B.
 
-    I(A:B) minus the classical correlation maximized over the measurement,
-    found by a coarse grid over the Bloch sphere followed by derivative-free
-    local refinement of the conditional entropy down to ``ANGLE_TOL``.  The
-    grid stage is global, so the smooth two-parameter landscape cannot trap
-    the refinement in a secondary basin.  The result is clipped below at 0.
+    I(A:B) minus the classical correlation maximized over the measurement
+    direction n.  The conditional entropy is a closed form in the 15 real
+    numbers of the correlation matrix (Luo, PRA 77, 042303 (2008)), so no
+    projector is built.  Directions n and -n are the same measurement, so a
+    coarse grid over the hemisphere theta <= pi/2 is searched, followed by
+    derivative-free local refinement down to ``ANGLE_TOL``.  The grid stage
+    is global, so the smooth two-parameter landscape cannot trap the
+    refinement in a secondary basin.  The result is clipped below at 0.
     """
     rho_ab = _require_two_qubits(rho_ab)
-    thetas = np.linspace(0.0, math.pi, N_THETA)
-    phis = np.linspace(0.0, 2.0 * math.pi, N_PHI, endpoint=False)
-    surface = _conditional_entropy_surface(rho_ab, thetas, phis)
+    r = _correlation_matrix(rho_ab)
+    surface = _conditional_entropy_grid(r, _GRID_N)
     i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
+    x0 = np.array([_GRID_THETAS[i0], _GRID_PHIS[j0]])
+    rows = r.tolist()
 
     def objective(angles: np.ndarray) -> float:
-        th = float(np.clip(angles[0], 0.0, math.pi))
-        ph = float(np.mod(angles[1], 2.0 * math.pi))
-        return float(
-            _conditional_entropy_surface(rho_ab, np.array([th]), np.array([ph]))[0, 0]
-        )
+        theta, phi = angles.tolist()
+        return _conditional_entropy_at(rows, min(max(theta, 0.0), math.pi), phi)
 
     res = minimize(
         objective,
-        x0=np.array([thetas[i0], phis[j0]]),
+        x0=x0,
         method="Nelder-Mead",
         options={"xatol": ANGLE_TOL, "fatol": 1e-14, "maxiter": 400},
     )
     best = min(float(res.fun), float(surface[i0, j0]))
-    x_best = res.x if float(res.fun) <= float(surface[i0, j0]) else (thetas[i0], phis[j0])
+    x_best = res.x if float(res.fun) <= float(surface[i0, j0]) else x0
     basis = MeasurementBasis(
         theta=float(np.clip(x_best[0], 0.0, math.pi)),
         phi=float(np.mod(x_best[1], 2.0 * math.pi)),

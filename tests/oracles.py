@@ -85,6 +85,19 @@ def dense_grid_discord(rho: np.ndarray, n_theta: int = 256, n_phi: int = 512) ->
     return max(mi - (s_a - s_cond), 0.0)
 
 
+def bell_diagonal_discord(c) -> float:
+    """Discord (bits) of (I + sum_i c_i sigma_i x sigma_i)/4 in Luo's closed
+    form (PRA 77, 042303 (2008)): I(A:B) = 2 - S(rho), and the classical
+    correlation is that of a binary channel with bias max |c_i|."""
+    c1, c2, c3 = c
+    lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3,
+                    1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4.0
+    mi = 2.0 - entropy_bits(lam)
+    cmax = max(abs(c1), abs(c2), abs(c3))
+    classical = 1.0 - entropy_bits(np.array([(1 - cmax) / 2, (1 + cmax) / 2]))
+    return mi - classical
+
+
 def batch_sem(samples: np.ndarray, n_batches: int = 100) -> tuple[float, float]:
     """Mean and batch-means standard error of a (possibly correlated) record."""
     samples = np.asarray(samples, dtype=float)

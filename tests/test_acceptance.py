@@ -19,7 +19,15 @@ from qusync import noise, qinfo
 from qusync.lindblad import ModelParams
 from qusync.operators import basis_ket
 from qusync.phaselock import TimeSeries, sync_metrics
-from tests.oracles import batch_sem, bell_state, dense_grid_discord
+from tests.oracles import (
+    SX,
+    SY,
+    SZ,
+    batch_sem,
+    bell_diagonal_discord,
+    bell_state,
+    dense_grid_discord,
+)
 
 RHO0 = np.outer(basis_ket("10"), basis_ket("10").conj())
 
@@ -201,6 +209,16 @@ def test_c6_discord_exactness_rank2(rank2_discords):
     assert abs(bell_d - 1.0) <= 1e-6
     assert mixed_d < 1e-8
     assert elapsed < 300.0
+
+
+@pytest.mark.parametrize("c", [(0.3, -0.2, 0.1), (0.0, 0.0, 0.8), (-0.9, 0.05, 0.0),
+                               (0.4, 0.4, -0.1), (0.5, -0.5, 0.5), (-0.6, -0.6, -0.6)])
+def test_discord_bell_diagonal_exact(c):
+    """Closed-form anchor beside criterion 6: Luo's exact discord of the
+    Bell-diagonal state (I + sum c_i sigma_i x sigma_i)/4 within 1e-8,
+    including triples whose largest |c_i| is shared by two or three axes."""
+    rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, (SX, SY, SZ)))) / 4.0
+    assert abs(qinfo.discord_min(rho).discord - bell_diagonal_discord(c)) <= 1e-8
 
 
 def test_c7_discord_distribution(rank2_discords):

@@ -236,6 +236,29 @@ def test_evolve_validation():
         lb.evolve(FIG_PARAMS, ket_density("10"), 1.0, 0.01, method="euler")
 
 
+def test_trajectory_positivity_violation_names_step():
+    # valid states, except step 7, whose smallest eigenvalue is set in a
+    # rotated basis: -1e-6 fails, -5e-9 is within STATE_ATOL and passes
+    rng = np.random.default_rng(83)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    states = np.stack([random_state(seed) for seed in range(12)])
+
+    def set_step_7(low):
+        bad = q @ np.diag([low, 0.2, 0.3, 0.5 - low]) @ q.conj().T
+        states[7] = (bad + bad.conj().T) / 2.0
+
+    set_step_7(-1e-6)
+    with pytest.raises(lb.PropagationError,
+                       match=r"positivity violated at step 7: min eigenvalue -1\.000e-06"):
+        lb._validate_trajectory(states, lb.STATE_ATOL)
+    set_step_7(-5e-9)
+    lb._validate_trajectory(states, lb.STATE_ATOL)
+    # an overflowed propagation is all NaN: it must not pass as positive
+    states[7] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        lb._validate_trajectory(states, lb.STATE_ATOL)
+
+
 def test_steady_state_pure_pumping():
     p = lb.ModelParams(delta=1.0, tau=0.0, j_xy=0.0, gamma=0.2, xi=0.0)
     rho = lb.steady_state(p)

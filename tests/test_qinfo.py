@@ -197,6 +197,25 @@ def test_classical_correlation_reference_values():
         1.0, abs=1e-10)
 
 
+def test_bloch_form_conditional_entropy_matches_projectors():
+    # the correlation-matrix closed form (grid and scalar) against the
+    # projector path, on random states of every rank and on a product of
+    # pure states measured along z, where one outcome has probability 0
+    rng = np.random.default_rng(89)
+    states = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)
+              for _ in range(10)]
+    cases = [(rho, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for rho in states]
+    ket00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    cases += [(ket00, 0.0, 0.0), (ket00, math.pi, 1.0)]
+    for rho, theta, phi in cases:
+        want = qinfo.conditional_entropy(rho, MeasurementBasis(theta, phi), EntropyUnit.NATS)
+        r = qinfo._correlation_matrix(rho)
+        n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                      math.cos(theta)])
+        assert abs(qinfo._conditional_entropy_at(r.tolist(), theta, phi) - want) <= 1e-12
+        assert abs(float(qinfo._conditional_entropy_grid(r, n)) - want) <= 1e-12
+
+
 def test_discord_bell_state():
     result = qinfo.discord_min(bell_state())
     assert result.discord == pytest.approx(1.0, abs=1e-6)
