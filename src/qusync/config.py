@@ -8,6 +8,7 @@ line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,8 +80,15 @@ class ExperimentConfig:
         return self
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_finite_float(tok) for tok in raw.replace(",", " ").split())
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -101,26 +109,26 @@ def _bool(raw: str) -> bool:
 # The bath correlation xi comes only from [sweep] xi.
 _SCHEMA = {
     "model": {
-        "delta": ("delta", float, "a number"),
-        "tau": ("tau", float, "a number"),
-        "j_xy": ("j_xy", float, "a number"),
-        "gamma": ("gamma", float, "a number"),
+        "delta": ("delta", _finite_float, "a finite number"),
+        "tau": ("tau", _finite_float, "a finite number"),
+        "j_xy": ("j_xy", _finite_float, "a finite number"),
+        "gamma": ("gamma", _finite_float, "a finite number"),
         "channel": ("channel", lambda s: Channel(s.lower()), "one of raise/lower/x/z"),
     },
     "evolution": {
         "initial_state": ("initial_state", str, "a bit label"),
-        "t_final": ("t_final", float, "a number"),
-        "dt": ("dt", float, "a number"),
-        "t_relax": ("t_relax", float, "a number"),
+        "t_final": ("t_final", _finite_float, "a finite number"),
+        "dt": ("dt", _finite_float, "a finite number"),
+        "t_relax": ("t_relax", _finite_float, "a finite number"),
     },
     "analysis": {
-        "window_fraction": ("window_fraction", float, "a number"),
+        "window_fraction": ("window_fraction", _finite_float, "a finite number"),
         "unit": ("unit", lambda s: EntropyUnit(s.lower()), "bits or nats"),
     },
     "sweep": {
-        "xi": ("xi_values", _float_list, "a list of numbers"),
-        "gamma": ("gamma_values", _float_list, "a list of numbers"),
-        "j_xy": ("jxy_values", _float_list, "a list of numbers"),
+        "xi": ("xi_values", _float_list, "a list of finite numbers"),
+        "gamma": ("gamma_values", _float_list, "a list of finite numbers"),
+        "j_xy": ("jxy_values", _float_list, "a list of finite numbers"),
     },
     "discord": {
         "n_states": ("n_states", int, "an integer"),

@@ -239,7 +239,7 @@ def _discord_point(args):
 
 
 def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
-    """Random-state benchmark of discord and the quantumness lower bound."""
+    """Random-state benchmark of discord and the quantumness upper bound on it."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [(cfg, rank, i) for rank in cfg.ranks for i in range(cfg.n_states)]
@@ -277,7 +277,7 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
         [(f"rank {rank}", [r[4] for r in group], [r[6] for r in group], "markers")
          for rank, group in sorted(by_rank.items())]
         + [("equality", [0.0, dmax], [0.0, dmax], "line")],
-        title="quantumness lower bound vs discord",
+        title="quantumness upper bound vs discord",
         xlabel=f"discord ({cfg.unit.value})", ylabel=f"I - I_diag ({cfg.unit.value})",
     )
     written.append(pq)

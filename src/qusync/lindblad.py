@@ -242,25 +242,28 @@ def build_liouvillian(p: ModelParams) -> np.ndarray:
 
 def _validate_trajectory(states: np.ndarray, atol: float) -> None:
     """Check every recorded state; report the first offending step."""
+    # Tested as ~(dev <= atol), so that a NaN or inf entry fails hermiticity
+    # and only finite states reach the Cholesky test.
     herm = np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if herm.max() > atol:
-        step = int(np.argmax(herm > atol))
+    bad = ~(herm <= atol)
+    if bad.any():
+        step = int(np.argmax(bad))
         raise PropagationError(
             f"hermiticity violated at step {step}: deviation {herm[step]:.3e}"
         )
     trace = np.abs(np.einsum("nii->n", states) - 1.0)
-    if trace.max() > atol:
-        step = int(np.argmax(trace > atol))
+    bad = ~(trace <= atol)
+    if bad.any():
+        step = int(np.argmax(bad))
         raise PropagationError(
             f"unit trace violated at step {step}: deviation {trace[step]:.3e}"
         )
     # rho + atol*I has a Cholesky factor exactly when no eigenvalue of rho is
     # below -atol; only a failed factorization pays for the spectra that name
-    # the step and the value.  A NaN state yields a NaN factor, not an error,
-    # so it takes the spectra path too.
+    # the step and the value.
     try:
-        if np.isfinite(np.linalg.cholesky(states + atol * np.eye(states.shape[-1]))).all():
-            return
+        np.linalg.cholesky(states + atol * np.eye(states.shape[-1]))
+        return
     except np.linalg.LinAlgError:
         pass
     eigmin = np.linalg.eigvalsh(states).min(axis=1)

@@ -2,15 +2,17 @@
 
 Entropies, mutual information, measurement-conditioned entropy, quantum
 discord minimized over two-element orthogonal measurements on qubit B, the
-diagonal-truncation classical mutual information, the quantumness lower bound
-built from it, and fixed-rank random density matrices.
+diagonal-truncation classical mutual information, the quantumness upper bound
+on the discord built from it, and fixed-rank random density matrices.
 
 Discord is computed in correlation-matrix form: with
 rho = sum R[mu, nu] sigma_mu x sigma_nu / 4, measuring B along the Bloch
 direction n leaves A with probability (1 +- b.n)/2 in the Bloch vector
 (a +- T n)/(1 +- b.n), so the conditional entropy is a closed form in the 15
 real numbers a, b and T.  A two-outcome measurement along n is the same as
-along -n, so its search covers only the hemisphere theta <= pi/2.
+along -n, so its grid covers only the hemisphere theta <= pi/2, and an
+in-house compass search over the same closed form refines the grid's best
+direction.
 :class:`MeasurementBasis`, :func:`measure_on_b` and
 :func:`conditional_entropy` keep the explicit projector path.
 
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .operators import (
     DimensionError,
@@ -248,33 +249,63 @@ def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
     return total
 
 
-def _conditional_entropy_at(rows, theta: float, phi: float) -> float:
-    """:func:`_conditional_entropy_grid` at one direction, in plain floats;
-    ``rows`` is the correlation matrix as nested lists."""
-    sin_t = math.sin(theta)
-    nx, ny, nz = sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        u0, u1, u2, u3 = (r0 + sign * (r1 * nx + r2 * ny + r3 * nz) for r0, r1, r2, r3 in rows)
-        p = u0 / 2.0
-        if p > PROB_FLOOR:
-            gap = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3) / (2.0 * u0)
-            for lam in (0.5 - gap, 0.5 + gap):
-                if lam > PROB_FLOOR:
-                    total -= p * lam * math.log(lam)
-    return total
+def _directions(theta, phi) -> np.ndarray:
+    """Bloch directions (sin th cos ph, sin th sin ph, cos th), shape (..., 3)."""
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=-1)
 
 
 # The discord search grid, built once: its angles and the Bloch direction
-# at each (theta, phi), shape (N_THETA // 2 + 1, N_PHI, 3).
+# at each (theta, phi), shape (N_THETA // 2 + 1, N_PHI, 3).  Both angles are
+# spaced by pi/64, the first step of the compass search.
 _GRID_THETAS = np.linspace(0.0, math.pi / 2.0, N_THETA // 2 + 1)
 _GRID_PHIS = np.linspace(0.0, 2.0 * math.pi, N_PHI, endpoint=False)
-_tt, _pp = np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij")
-_GRID_N = np.stack([np.sin(_tt) * np.cos(_pp), np.sin(_tt) * np.sin(_pp), np.cos(_tt)],
-                   axis=-1)
-for _m in (_GRID_THETAS, _GRID_PHIS, _GRID_N):
+_GRID_N = _directions(*np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
+# The 8 compass neighbours of a point, in units of the step.
+_COMPASS = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
+                    dtype=float)
+for _m in (_GRID_THETAS, _GRID_PHIS, _GRID_N, _COMPASS):
     _m.setflags(write=False)
-del _tt, _pp
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    x: tuple[float, float]  # (theta, phi) of the best direction, theta <= pi/2
+    fun: float  # its conditional entropy in nats
+    nfev: int  # directions evaluated
+
+
+def minimize(r: np.ndarray, x0: tuple[float, float], fun0: float) -> SearchResult:
+    """Compass search for the conditional entropy of correlation matrix ``r``,
+    from the direction at ``x0`` = (theta, phi), whose value is ``fun0``.
+
+    It moves in the (theta, phi) chart of a frame whose x axis is that
+    direction (columns n0, e_theta, e_phi), so it starts at (pi/2, 0), far
+    from the chart's poles, where a phi step would barely move n.  Each round
+    evaluates the 8 neighbours at the current step in one batch and moves to
+    the lowest if it beats the current point; otherwise the step is
+    quartered.  The step starts at the grid spacing and the search stops
+    below ``ANGLE_TOL``, so the result is never above ``fun0``.  The angles
+    returned name the direction folded into the hemisphere n_z >= 0.
+    """
+    theta0, phi0 = x0
+    frame = _directions(np.array([theta0, theta0 + math.pi / 2.0, math.pi / 2.0]),
+                        np.array([phi0, phi0, phi0 + math.pi / 2.0])).T
+    r = np.concatenate([r[:, :1], r[:, 1:] @ frame], axis=1)
+    x, fun, step, nfev = np.array([math.pi / 2.0, 0.0]), float(fun0), math.pi / N_THETA, 0
+    while step >= ANGLE_TOL:
+        points = x + step * _COMPASS
+        values = _conditional_entropy_grid(r, _directions(points[:, 0], points[:, 1]))
+        nfev += len(points)
+        k = int(np.argmin(values))
+        if values[k] < fun:
+            x, fun = points[k], float(values[k])
+        else:
+            step /= 4.0
+    n = frame @ _directions(*x)
+    nx, ny, nz = n if n[2] >= 0.0 else -n
+    theta, phi = math.atan2(math.hypot(nx, ny), nz), math.atan2(ny, nx) % (2.0 * math.pi)
+    return SearchResult(x=(theta, phi if phi < 2.0 * math.pi else 0.0), fun=fun, nfev=nfev)
 
 
 def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> DiscordResult:
@@ -284,38 +315,22 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
     direction n.  The conditional entropy is a closed form in the 15 real
     numbers of the correlation matrix (Luo, PRA 77, 042303 (2008)), so no
     projector is built.  Directions n and -n are the same measurement, so a
-    coarse grid over the hemisphere theta <= pi/2 is searched, followed by
-    derivative-free local refinement down to ``ANGLE_TOL``.  The grid stage
-    is global, so the smooth two-parameter landscape cannot trap the
-    refinement in a secondary basin.  The result is clipped below at 0.
+    coarse grid over the hemisphere theta <= pi/2 is searched, and a compass
+    search (:func:`minimize`) refines its best point down to ``ANGLE_TOL``.
+    The grid stage is global, so the smooth two-parameter landscape cannot
+    trap the refinement in a secondary basin.  The reported basis lies in the
+    hemisphere, and the discord is clipped below at 0.
     """
     rho_ab = _require_two_qubits(rho_ab)
     r = _correlation_matrix(rho_ab)
     surface = _conditional_entropy_grid(r, _GRID_N)
     i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
-    x0 = np.array([_GRID_THETAS[i0], _GRID_PHIS[j0]])
-    rows = r.tolist()
-
-    def objective(angles: np.ndarray) -> float:
-        theta, phi = angles.tolist()
-        return _conditional_entropy_at(rows, min(max(theta, 0.0), math.pi), phi)
-
-    res = minimize(
-        objective,
-        x0=x0,
-        method="Nelder-Mead",
-        options={"xatol": ANGLE_TOL, "fatol": 1e-14, "maxiter": 400},
-    )
-    best = min(float(res.fun), float(surface[i0, j0]))
-    x_best = res.x if float(res.fun) <= float(surface[i0, j0]) else x0
-    basis = MeasurementBasis(
-        theta=float(np.clip(x_best[0], 0.0, math.pi)),
-        phi=float(np.mod(x_best[1], 2.0 * math.pi)),
-    )
+    res = minimize(r, (_GRID_THETAS[i0], _GRID_PHIS[j0]), float(surface[i0, j0]))
+    basis = MeasurementBasis(*res.x)
 
     s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
     mi = mutual_information(rho_ab, (2, 2), unit)
-    classical = (s_a - best) * unit.per_nat
+    classical = (s_a - res.fun) * unit.per_nat
     return DiscordResult(
         discord=max(mi - classical, 0.0),
         classical_correlation=classical,
@@ -347,8 +362,10 @@ def degree_of_quantumness(
 ) -> float:
     """I(A:B) minus the diagonal-truncation mutual information.
 
-    A quantumness estimate bounded by [0, I(A:B)] up to round-off; it tends
-    to sit below the measurement-optimized discord.
+    A quantumness estimate bounded by [0, I(A:B)] up to round-off, and an
+    upper bound on the measurement-optimized discord: dephasing both qubits
+    keeps no more correlation than measuring B along z, which keeps no more
+    than the best measurement, so I_diag <= J(z) <= max J.
     """
     return mutual_information(rho_ab, dims, unit) - classical_mutual_information(
         rho_ab, dims, unit

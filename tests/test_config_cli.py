@@ -109,11 +109,21 @@ def test_parse_rejects_unknown_section_and_key():
         parse_config_text("[model]\ndelta 1\n")
 
 
-def test_load_config_reports_bad_value_line(tmp_path):
+@pytest.mark.parametrize("text", [
+    "[model]\ndelta = 1.0\ngamma = fast\n",
+    "[model]\ndelta = 1.0\ngamma = nan\n",
+    "[sweep]\nxi = 0\ngamma = 0.1, inf\n",
+    "[evolution]\nt_final = 10\ndt = nan\n",
+], ids=["gamma-fast", "gamma-nan", "sweep-gamma-inf", "dt-nan"])
+def test_load_config_reports_bad_value_line(tmp_path, capsys, text):
+    # a NaN or infinite number is a config error (exit 1), not a numerical
+    # failure of the run it would start
     path = tmp_path / "bad.ini"
-    path.write_text("[model]\ndelta = 1.0\ngamma = fast\n")
-    with pytest.raises(ConfigError, match="line 3"):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"line 3: (gamma|dt) must be a (list of )?finite"):
         load_config(path)
+    assert cli.main(["evolve", "--config", str(path)]) == 1
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_load_config_full_round_trip(tmp_path):
@@ -305,12 +315,33 @@ def test_worker_pool_matches_serial(tmp_path, command, settings):
         assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes(), path.name
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    code = "import sys, qusync.cli; print('scipy.signal' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
+def test_cli_import_leaves_out(module):
+    code = f"import sys, qusync.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(qusync.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_binds_to_the_program():
+    # perfbench/tracer.py looks up qusync's function names when installed;
+    # a renamed one must fail here rather than break a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import qusync.cli\n"
+        "from tracer import Tracer, summarize\n"
+        "tracer = Tracer('test')\n"
+        "tracer.install()\n"
+        "from qusync import qinfo\n"
+        "qinfo.discord_min(qinfo.random_density_matrix(4, 2, 5))\n"
+        "print(summarize(tracer.spans)['qinfo.discord_min.objective_evals'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qusync.__file__).parents[1]), str(root / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert float(out.stdout) > 0
 
 
 def test_info_sweep_save_states(tmp_path):

@@ -253,9 +253,15 @@ def test_trajectory_positivity_violation_names_step():
         lb._validate_trajectory(states, lb.STATE_ATOL)
     set_step_7(-5e-9)
     lb._validate_trajectory(states, lb.STATE_ATOL)
-    # an overflowed propagation is all NaN: it must not pass as positive
+    # NaN entries fail the hermiticity test: off the diagonal only, and all
+    # of them, as an overflowed propagation leaves it
+    states[7, 0, 1] = states[7, 1, 0] = np.nan
+    with pytest.raises(lb.PropagationError,
+                       match=r"hermiticity violated at step 7: deviation nan"):
+        lb._validate_trajectory(states, lb.STATE_ATOL)
     states[7] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(lb.PropagationError,
+                       match=r"hermiticity violated at step 7: deviation nan"):
         lb._validate_trajectory(states, lb.STATE_ATOL)
 
 

@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 from qusync import qinfo
 from qusync.operators import DimensionError, ValidationError, kron, pauli
 from qusync.qinfo import EntropyUnit, MeasurementBasis
-from tests.oracles import batch_sem, bell_state, dense_grid_discord, haar_reduced_purity
+from tests.oracles import (
+    batch_sem,
+    bell_diagonal_discord,
+    bell_state,
+    dense_grid_discord,
+    haar_reduced_purity,
+)
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -198,8 +204,7 @@ def test_classical_correlation_reference_values():
 
 
 def test_bloch_form_conditional_entropy_matches_projectors():
-    # the correlation-matrix closed form (grid and scalar) against the
-    # projector path, on random states of every rank and on a product of
+    # the correlation-matrix closed form against the projector path, on random states of every rank and on a product of
     # pure states measured along z, where one outcome has probability 0
     rng = np.random.default_rng(89)
     states = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)
@@ -212,7 +217,6 @@ def test_bloch_form_conditional_entropy_matches_projectors():
         r = qinfo._correlation_matrix(rho)
         n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
                       math.cos(theta)])
-        assert abs(qinfo._conditional_entropy_at(r.tolist(), theta, phi) - want) <= 1e-12
         assert abs(float(qinfo._conditional_entropy_grid(r, n)) - want) <= 1e-12
 
 
@@ -240,6 +244,52 @@ def test_discord_identity_and_bounds():
         assert res.discord + res.classical_correlation == pytest.approx(
             res.mutual_information, abs=1e-8)
         assert -1e-8 <= res.discord <= res.mutual_information + 1e-8
+
+
+def test_discord_reported_basis():
+    # the reported measurement attains the reported classical correlation,
+    # and it is folded into the searched hemisphere.  The last state is real
+    # and its best axis lies in the xz-plane: folded, the axis has a y
+    # component of about -1e-16, whose angle mod 2 pi rounds to 2 pi
+    rng = np.random.default_rng(97)
+    states = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)
+              for _ in range(10)]
+    states.append((np.eye(4) - 0.4987528340803177 * kron(pauli("x"), pauli("x"))
+                   + 0.21087787911698802 * kron(pauli("y"), pauli("y"))
+                   - 0.04851931071688975 * kron(pauli("z"), pauli("z"))
+                   - 0.06907423858127522 * kron(pauli("x"), pauli("id"))
+                   - 0.030512760023303748 * kron(pauli("z"), pauli("id"))) / 4.0)
+    for rho in states:
+        res = qinfo.discord_min(rho)
+        assert abs(qinfo.classical_correlation(rho, res.optimal_basis)
+                   - res.classical_correlation) <= 1e-9
+        assert res.optimal_basis.theta <= math.pi / 2
+
+
+def test_discord_optimum_near_pole(monkeypatch):
+    # Bell-diagonal states turned on B by a small angle, so that the best
+    # measurement axis lies just off the grid's pole; local unitaries keep
+    # Luo's closed-form discord.  Near a pole of the search's own chart a
+    # phi step barely moves the axis, and the search would take thousands of
+    # rounds to get there.
+    search, evals = qinfo.minimize, []
+
+    def counted(*args):
+        res = search(*args)
+        evals.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(qinfo, "minimize", counted)
+    for c in [(0.1, 0.2, 0.6), (0.3, -0.2, -0.5), (0.2, 0.1, -0.4)]:
+        rho = (np.eye(4) + sum(ci * kron(pauli(k), pauli(k))
+                               for ci, k in zip(c, ("x", "y", "z")))) / 4.0
+        for angle in (0.003, 0.02):
+            for axis in ("x", "y"):
+                u = kron(pauli("id"), math.cos(angle / 2) * pauli("id")
+                         - 1j * math.sin(angle / 2) * pauli(axis))
+                d = qinfo.discord_min(u @ rho @ u.conj().T).discord
+                assert abs(d - bell_diagonal_discord(c)) <= 1e-9
+                assert evals[-1] <= 1000
 
 
 def test_discord_matches_dense_grid_oracle():
@@ -295,6 +345,16 @@ def test_degree_of_quantumness_reference_states():
     psi = kron(np.array([1.0, 1j]) / np.sqrt(2), np.array([0.6, 0.8]))
     rho = np.outer(psi, psi.conj())
     assert qinfo.degree_of_quantumness(rho) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_degree_of_quantumness_bounds_discord_above():
+    # I_diag <= J(z) <= max J, so I - I_diag >= I - max J = D
+    rng = np.random.default_rng(101)
+    for rank in (1, 2, 3, 4):
+        for _ in range(10):
+            rho = qinfo.random_density_matrix(4, rank, rng)
+            assert (qinfo.degree_of_quantumness(rho)
+                    >= qinfo.discord_min(rho).discord - 1e-9)
 
 
 def test_degree_of_quantumness_relabeling_invariance():
