@@ -155,7 +155,7 @@ def _info_point(args):
             f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
             f"j_xy={j_xy:+.3f}: {exc}") from exc
     if flag:
-        rho_ss = lindblad.long_time_state(params, _initial_state(cfg), cfg.t_relax)
+        rho_ss = lindblad.asymptotic_state(params, _initial_state(cfg))
     mi = qinfo.mutual_information(rho_ss, (2, 2), cfg.unit)
     mi_classical = qinfo.classical_mutual_information(rho_ss, (2, 2), cfg.unit)
     return {
@@ -169,8 +169,9 @@ def _info_point(args):
 def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Steady-state correlation measures over the (xi, gamma, j_xy) grid.
 
-    Degenerate or absent fixed points fall back to long-time propagation from
-    the configured initial state and are flagged in the CSV.
+    Where the fixed point is degenerate or absent, the row holds the
+    asymptotic state reached from the configured initial state, and the CSV
+    flags it.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ environment enters through a symmetric and an antisymmetric collective jump
 operator whose rates gamma*(1+xi) and gamma*(1-xi) inherit the eigenvalues of
 the bath correlation matrix.  Propagation uses the matrix exponential of the
 16x16 Liouvillian (exact for a time-independent generator); steady states
-come from its null space.
+and, for a degenerate generator, asymptotic states come from its null spaces.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "steady_state",
     "steady_state_from_matrix",
     "long_time_state",
+    "asymptotic_state",
     "save_evolution_csv",
     "save_bloch_csv",
 ]
@@ -57,6 +58,9 @@ OBSERVABLE_NAMES = ("sz1", "sz2", "sx1", "sx2", "purity")
 STATE_ATOL = 1e-8
 NULL_ATOL = 1e-10
 EXIST_ATOL = 1e-8
+
+# States that ``evolve`` fills with one stacked product.
+BLOCK = 128
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -104,7 +108,12 @@ _OPS = {
     "exchange": kron(pauli("plus"), pauli("minus")) + kron(pauli("minus"), pauli("plus")),
 }
 _SITE_OPS = {ch: (kron(ch.operator, _I2), kron(_I2, ch.operator)) for ch in Channel}
-for _m in [*_OPS.values(), *(m for pair in _SITE_OPS.values() for m in pair)]:
+# tr(rho O) = vec(rho) . ravel(O) under column stacking, so each row of this
+# table turns a vectorized state into one Pauli expectation.
+_PAULI_NAMES = ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
+_PAULI_WEIGHTS = np.stack([_OPS[name].ravel() for name in _PAULI_NAMES])
+for _m in [*_OPS.values(), *(m for pair in _SITE_OPS.values() for m in pair),
+           _PAULI_WEIGHTS]:
     _m.setflags(write=False)
 
 
@@ -283,10 +292,12 @@ def evolve(
 ) -> EvolutionResult:
     """Propagate rho0 on a uniform grid, recording states and observables.
 
-    The default path applies the one-step propagator exp(L dt) (computed once
-    by scaling and squaring, then reused), which is exact for the
-    time-independent generator.  ``method="rk4"`` is a fixed-step fourth-order
-    Runge-Kutta alternative kept for cross-validation.
+    The default path applies the one-step propagator P = exp(L dt) (computed
+    once by scaling and squaring), which is exact for the time-independent
+    generator.  It precomputes P^1..P^BLOCK and fills each block of
+    ``BLOCK`` states with one stacked product from the state before the
+    block.  ``method="rk4"`` is a fixed-step fourth-order Runge-Kutta
+    alternative kept for cross-validation.
 
     Every recorded state is checked against the density-matrix invariants at
     tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
@@ -304,10 +315,15 @@ def evolve(
     v = vectorize(rho0)
     vecs[0] = v
     if method == "expm":
-        prop = expm(lm * dt)
-        for k in range(1, n_steps + 1):
-            v = prop @ v
-            vecs[k] = v
+        # powers[j] = P^(j+1) for the one-step propagator P = exp(L dt)
+        powers = np.empty((BLOCK, 16, 16), dtype=complex)
+        powers[0] = expm(lm * dt)
+        for j in range(1, BLOCK):
+            powers[j] = powers[0] @ powers[j - 1]
+        for start in range(0, n_steps, BLOCK):
+            rows = vecs[start + 1:start + 1 + BLOCK]
+            rows[:] = powers[:len(rows)] @ v
+            v = rows[-1]
     elif method == "rk4":
         for k in range(1, n_steps + 1):
             k1 = lm @ v
@@ -322,10 +338,9 @@ def evolve(
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
     _validate_trajectory(states, STATE_ATOL)
 
-    observables = {
-        name: np.einsum("nij,ji->n", states, _OPS[name]).real
-        for name in ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
-    }
+    # einsum, not @: a product this size would wake a second BLAS thread
+    paulis = np.einsum("nk,qk->qn", vecs, _PAULI_WEIGHTS).real
+    observables = dict(zip(_PAULI_NAMES, paulis))
     observables["purity"] = np.einsum("nij,nji->n", states, states).real
     times = np.arange(n_steps + 1) * dt
     return EvolutionResult(times=times, states=states, observables=observables)
@@ -377,14 +392,39 @@ def steady_state(p: ModelParams) -> np.ndarray:
 def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     """State after propagating rho0 for time t in a single exponential step.
 
-    This is the fallback used when the steady state is degenerate; the result
-    then depends on rho0 through the conserved quantities.
+    With a degenerate steady state the result depends on rho0 through the
+    conserved quantities, and it is a fixed point only once t is long
+    against the slowest decay; :func:`asymptotic_state` gives the limit.
     """
     rho0 = check_density_matrix(rho0, name="rho0")
     v = expm(build_liouvillian(p) * t) @ vectorize(rho0)
     rho = unvectorize(v)
     rho = (rho + rho.conj().T) / 2.0
     return rho / rho.trace().real
+
+
+def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
+    """Limit of exp(L t) rho0 as t -> infinity, exact for a degenerate L.
+
+    One SVD of L gives its right null space R (the fixed points) and its
+    left null space J (the conserved quantities); the limit is
+    R (J+ R)^-1 J+ vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)).
+    Singular values up to ``NULL_ATOL * max(s[0], 1)`` count as zero.  This
+    is the limit when every other eigenvalue of L has a negative real part,
+    and the time average of the trajectory when some are imaginary (as at
+    gamma = 0).
+    """
+    rho0 = check_density_matrix(rho0, name="rho0")
+    u, s, vh = np.linalg.svd(build_liouvillian(p))
+    null = s <= NULL_ATOL * max(s[0], 1.0)
+    if not null.any():
+        raise NoSteadyStateError(f"smallest singular value is {s[-1]:.3e}, no fixed point")
+    right, left_h = vh[null].conj().T, u[:, null].conj().T
+    v = right @ np.linalg.solve(left_h @ right, left_h @ vectorize(rho0))
+    rho = unvectorize(v)
+    rho = (rho + rho.conj().T) / 2.0
+    return check_density_matrix(rho / rho.trace().real, herm_atol=1e-9, trace_atol=1e-9,
+                                eig_atol=1e-8, name="rho_inf")
 
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:

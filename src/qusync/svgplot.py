@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 __all__ = ["line_plot", "heatmap"]
 
 WIDTH, HEIGHT = 640, 420
@@ -121,9 +123,32 @@ def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi, xscale: str):
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
             f'font-size="11" text-anchor="end">{_fmt(yv)}</text>'
         )
+    scale = (WIDTH - MARGIN_L - MARGIN_R) / (x_hi - x_lo)
+
+    def column(x):
+        """Pixel column of each x in an array (for decimation only)."""
+        x = np.log10(x) if xscale == "log" else x
+        return np.floor((x - x_lo) * scale).astype(np.int64)
+
     if xscale == "log":
-        return lambda x, y: to_px(math.log10(x), y)
-    return to_px
+        return lambda x, y: to_px(math.log10(x), y), column
+    return to_px, column
+
+
+def _m4(column, y) -> np.ndarray:
+    """Indices of the first, last, lowest and highest point of every pixel
+    column, in index order (M4 aggregation, Jugel et al., PVLDB 7(10), 2014).
+
+    ``column`` must be non-decreasing, so each column is one run of indices,
+    and sorting by (column, y) keeps every run in place.  At this resolution
+    a polyline through these points draws the same picture as the full one.
+    """
+    ends = np.flatnonzero(np.diff(column))
+    firsts = np.concatenate([[0], ends + 1])
+    lasts = np.concatenate([ends, [len(column) - 1]])
+    by_height = np.lexsort((y, column))
+    return np.unique(np.concatenate(
+        [firsts, lasts, by_height[firsts], by_height[lasts]]))
 
 
 def line_plot(
@@ -140,20 +165,23 @@ def line_plot(
 
     ``curves`` is a list of (label, x, y[, style]) with style "line" (the
     default), "dash" or "markers"; ``bands`` is an optional list of
-    (x, y_low, y_high) shaded regions drawn behind the curves.
+    (x, y_low, y_high) shaded regions drawn behind the curves.  A line or
+    dash curve whose x never decreases keeps only the first, last, lowest
+    and highest point of each pixel column; with at most one point per
+    column that is every point.
     """
-    xs = [x for curve in curves for x in curve[1]]
-    ys = [y for curve in curves for y in curve[2]]
-    if bands:
-        for bx, blo, bhi in bands:
-            xs += list(bx)
-            ys += list(blo) + list(bhi)
-    if not xs:
+    bands = bands or []
+    xs = [np.asarray(c[1], dtype=float) for c in curves] + [
+        np.asarray(b[0], dtype=float) for b in bands]
+    ys = [np.asarray(c[2], dtype=float) for c in curves] + [
+        np.asarray(v, dtype=float) for b in bands for v in b[1:]]
+    if not sum(x.size for x in xs):
         raise ValueError("nothing to plot")
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
     canvas = _Canvas(title, xlabel, ylabel)
-    to_px = _axes(canvas, min(xs), max(xs), min(ys), max(ys), xscale)
+    to_px, column = _axes(canvas, xs.min(), xs.max(), ys.min(), ys.max(), xscale)
 
-    for bx, blo, bhi in bands or []:
+    for bx, blo, bhi in bands:
         pts = [to_px(x, y) for x, y in zip(bx, bhi)]
         pts += [to_px(x, y) for x, y in zip(reversed(list(bx)), reversed(list(blo)))]
         joined = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
@@ -163,6 +191,11 @@ def line_plot(
         label, cx, cy = curve[0], curve[1], curve[2]
         style = curve[3] if len(curve) > 3 else "line"
         color = PALETTE[idx % len(PALETTE)]
+        if style in ("line", "dash") and len(cx) > 1:
+            x = np.asarray(cx, dtype=float)
+            if (np.diff(x) >= 0).all():
+                keep = _m4(column(x), np.asarray(cy, dtype=float))
+                cx, cy = [cx[i] for i in keep], [cy[i] for i in keep]
         pts = [to_px(x, y) for x, y in zip(cx, cy)]
         if style in ("line", "dash"):
             joined = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)

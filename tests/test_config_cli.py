@@ -356,3 +356,23 @@ def test_info_sweep_save_states(tmp_path):
     assert len(state_files) == 1
     rho = load_matrix_csv(state_files[0])
     assert abs(np.trace(rho) - 1.0) < 1e-10
+
+
+def test_info_sweep_degenerate_row_is_fixed_point(tmp_path):
+    # the slowest-relaxing degenerate point of the default grid: propagating
+    # for the default t_relax = 4000 leaves ||L rho|| at 5e-4 there
+    from qusync.lindblad import build_liouvillian, vectorize
+    from qusync.operators import load_matrix_csv
+
+    cfg = ExperimentConfig(
+        xi_values=(1.0,), gamma_values=(0.01,), jxy_values=(-1.0,),
+        out_dir=str(tmp_path / "deg"), save_states=True,
+    ).validate()
+    cmd_info_sweep(cfg)
+    _, rows = _load_csv(tmp_path / "deg" / "info_sweep.csv")
+    assert rows[0][6] == "degenerate"
+    (state_file,) = (tmp_path / "deg").glob("rho_ss_*.csv")
+    rho = load_matrix_csv(state_file)
+    liou = build_liouvillian(ModelParams(xi=1.0, gamma=0.01, j_xy=-1.0))
+    assert np.linalg.norm(liou @ vectorize(rho)) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12

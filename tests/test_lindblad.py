@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qusync import lindblad as lb
-from qusync.operators import ValidationError, basis_ket, load_matrix_csv
+from qusync.operators import ValidationError, basis_ket, kron, load_matrix_csv, pauli
 from tests.oracles import bell_state
 
 FIG_PARAMS = lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25, gamma=0.05, xi=0.0)
@@ -217,6 +217,28 @@ def test_evolve_matches_rk4():
     assert np.abs(a - b).max() < 1e-8
 
 
+@pytest.mark.parametrize("n_steps", [1, 126, 127, 128, 129, 299, 300])
+def test_evolve_blocks_match_step_loop(n_steps):
+    # evolve fills blocks of BLOCK = 128 states at once; these counts end
+    # the last block one state early, exactly and one state late
+    p = lb.ModelParams(xi=0.4, gamma=0.1)
+    rho0, dt = ket_density("10"), 0.01
+    res = lb.evolve(p, rho0, t_final=n_steps * dt, dt=dt)
+    prop = expm(lb.build_liouvillian(p) * dt)
+    vecs = [lb.vectorize(rho0)]
+    for _ in range(n_steps):
+        vecs.append(prop @ vecs[-1])
+    want = np.stack([lb.unvectorize(v) for v in vecs])
+    assert res.states.shape == want.shape
+    assert np.abs(res.states - want).max() <= 1e-12
+    eye = np.eye(2)
+    for axis in "xyz":
+        for name, op in ((f"s{axis}1", kron(pauli(axis), eye)),
+                         (f"s{axis}2", kron(eye, pauli(axis)))):
+            expect = np.einsum("nij,ji->n", want, op).real
+            assert np.abs(res.observables[name] - expect).max() <= 1e-12
+
+
 def test_evolve_trajectory_invariants():
     res = lb.evolve(FIG_PARAMS, ket_density("10"), t_final=50.0, dt=0.01)
     states = res.states
@@ -311,6 +333,51 @@ def test_steady_state_degenerate_at_full_correlation():
     liou = lb.build_liouvillian(lb.ModelParams(xi=1.0, gamma=0.05))
     assert np.linalg.norm(
         liou @ lb.vectorize(np.outer(singlet, singlet.conj()))) < 1e-12
+
+
+@pytest.mark.parametrize("channel", list(lb.Channel))
+def test_singlet_dark_and_stationary_at_full_correlation(channel):
+    # The mechanism behind the c1 and c5 acceptance values: at xi = +1 only
+    # c_S acts, c_S annihilates the singlet and H maps it to -j_xy times
+    # itself, so the singlet weight of the start |1 0> (1/2) never decays.
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    for j_xy in (-1.0, 0.0, 0.25, 1.0):
+        p = lb.ModelParams(j_xy=j_xy, gamma=0.05, xi=1.0, channel=channel)
+        c_s, c_a = lb.build_collapse_ops(p)
+        assert np.abs(c_a).max() == 0.0
+        assert np.abs(c_s @ singlet).max() < 1e-15
+        h = lb.build_hamiltonian(p)
+        assert np.abs(h @ singlet + j_xy * singlet).max() < 1e-15
+    res = lb.evolve(p, ket_density("10"), t_final=50.0, dt=0.1)
+    weight = np.einsum("i,nij,j->n", singlet.conj(), res.states, singlet).real
+    assert np.abs(weight - 0.5).max() < 1e-12
+
+
+@pytest.mark.parametrize("j_xy", [-1.0, 0.0, 1.0])
+def test_asymptotic_state_fixed_point_at_full_correlation(j_xy):
+    rho0 = ket_density("10")
+    for gamma in (0.01, 0.05, 0.3, 1.0):
+        p = lb.ModelParams(xi=1.0, gamma=gamma, j_xy=j_xy)
+        with pytest.raises(lb.DegenerateSteadyStateError):
+            lb.steady_state(p)
+        rho = lb.asymptotic_state(p, rho0)
+        assert np.linalg.norm(lb.build_liouvillian(p) @ lb.vectorize(rho)) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert abs(rho.trace() - 1.0) < 1e-12
+
+
+def test_asymptotic_state_is_the_long_time_limit():
+    rho0 = ket_density("10")
+    # the slowest degenerate point: t = 4000 is 5e-4 short of the limit
+    p = lb.ModelParams(xi=1.0, gamma=0.01, j_xy=-1.0)
+    rho = lb.asymptotic_state(p, rho0)
+    assert np.abs(rho - lb.long_time_state(p, rho0, 1e5)).max() < 1e-10
+    assert np.abs(rho - lb.long_time_state(p, rho0, 4000.0)).max() > 1e-6
+    # a unique fixed point does not depend on the start
+    p = lb.ModelParams(xi=0.3, gamma=0.05)
+    for start in ("10", "00"):
+        assert np.abs(lb.asymptotic_state(p, ket_density(start))
+                      - lb.steady_state(p)).max() < 1e-12
 
 
 def test_steady_state_no_fixed_point_detection():

@@ -1,10 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qusync import qinfo
+from qusync import experiments, qinfo
+from qusync.config import ExperimentConfig
 from qusync.operators import DimensionError, ValidationError, kron, pauli
 from qusync.qinfo import EntropyUnit, MeasurementBasis
 from tests.oracles import (
@@ -350,11 +352,20 @@ def test_degree_of_quantumness_reference_states():
 def test_degree_of_quantumness_bounds_discord_above():
     # I_diag <= J(z) <= max J, so I - I_diag >= I - max J = D
     rng = np.random.default_rng(101)
-    for rank in (1, 2, 3, 4):
-        for _ in range(10):
-            rho = qinfo.random_density_matrix(4, rank, rng)
-            assert (qinfo.degree_of_quantumness(rho)
-                    >= qinfo.discord_min(rho).discord - 1e-9)
+    states = [qinfo.random_density_matrix(4, rank, rng)
+              for rank in (1, 2, 3, 4) for _ in range(10)]
+    # and the info-sweep states of a small grid, whose xi = +1 points are
+    # degenerate and hold the asymptotic state from |1 0>
+    cfg = ExperimentConfig().validate()
+    flags = []
+    for j_xy, xi, gamma in product((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.01, 0.1, 1.0)):
+        row = experiments._info_point((cfg, j_xy, xi, gamma))
+        flags.append(row["flag"])
+        states.append(row["rho_ss"])
+    assert flags.count("degenerate") == 9
+    for rho in states:
+        assert (qinfo.degree_of_quantumness(rho)
+                >= qinfo.discord_min(rho).discord - 1e-9)
 
 
 def test_degree_of_quantumness_relabeling_invariance():

@@ -1,0 +1,74 @@
+import hashlib
+import math
+import re
+
+import numpy as np
+
+from qusync import svgplot
+
+PLOT_WIDTH = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+
+
+def polyline_points(path) -> list[list[str]]:
+    """The "px,py" pairs of every polyline in an SVG file, as written."""
+    return [pts.split(" ") for pts in re.findall(r'<polyline points="([^"]*)"',
+                                                  path.read_text())]
+
+
+def test_decimation_keeps_column_extremes_and_endpoints(tmp_path, monkeypatch):
+    t = np.linspace(0.0, 200.0, 20001)
+    y = np.exp(-0.01 * t) * np.cos(t) + 0.05 * np.sin(37.0 * t)
+    svgplot.line_plot(tmp_path / "m4.svg", [("y", t, y)])
+    (kept,) = polyline_points(tmp_path / "m4.svg")
+    monkeypatch.setattr(svgplot, "_m4", lambda column, y: np.arange(len(column)))
+    svgplot.line_plot(tmp_path / "full.svg", [("y", t, y)])
+    (full,) = polyline_points(tmp_path / "full.svg")
+    assert len(full) == t.size
+
+    column = np.floor((t - t[0]) * (PLOT_WIDTH / (t[-1] - t[0]))).astype(int)
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
+    runs = np.split(np.arange(t.size), starts[1:])
+    assert len(runs) == PLOT_WIDTH + 1
+    assert len(kept) <= 4 * len(runs)
+    drawn = set(kept)
+    for run in runs:
+        lowest = run[np.argmin(y[run])]
+        highest = run[np.argmax(y[run])]
+        for i in (run[0], run[-1], lowest, highest):
+            assert full[i] in drawn
+    # the kept points keep their order along the curve
+    it = iter(full)
+    assert all(point in it for point in kept)
+    assert kept[0] == full[0] and kept[-1] == full[-1]
+
+
+def test_decimation_keeps_every_point_without_monotone_x(tmp_path):
+    x = np.cos(np.linspace(0.0, 6.0, 5000))
+    svgplot.line_plot(tmp_path / "loop.svg", [("loop", x, np.sin(x)),
+                                              ("dots", x, x, "markers")])
+    (points,) = polyline_points(tmp_path / "loop.svg")
+    assert len(points) == x.size
+    assert (tmp_path / "loop.svg").read_text().count("<circle") == x.size
+
+
+def test_sparse_line_plot_bytes_unchanged(tmp_path):
+    # 21-point curves have at most one point per pixel column, so decimation
+    # keeps them whole; the digests are of the output before it existed.
+    xi = [-1.0 + 0.1 * k for k in range(21)]
+    gamma = [10 ** (-2 + 2 * k / 20) for k in range(21)]
+    mi = [0.3 / (1 + g) for g in gamma]
+    dq = [0.1 / (1 + g) for g in gamma]
+    cases = {
+        "b5b650aaee64feb1beccd0e2c0d6226d7073b2efb4f5906d901e690817376a65": dict(
+            curves=[("delta phi", xi, [math.sin(3 * x) for x in xi])],
+            title="asymptotic phase shift", xlabel="xi", ylabel="rad"),
+        "7eb851277833400de9523d4d85d11feddc4146dd5befe7f42e374cf26d81ce1e": dict(
+            curves=[("I", gamma, mi, "line"), ("D", gamma, dq, "dash"),
+                    ("pts", gamma, dq, "markers")],
+            bands=[(gamma, dq, mi)], xscale="log",
+            title="total vs quantum", xlabel="gamma", ylabel="bits"),
+    }
+    for digest, kwargs in cases.items():
+        path = tmp_path / "plot.svg"
+        svgplot.line_plot(path, **kwargs)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
