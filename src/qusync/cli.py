@@ -18,7 +18,7 @@ from .experiments import (
     cmd_info_sweep,
     cmd_sync_sweep,
 )
-from .lindblad import NoSteadyStateError, PropagationError
+from .lindblad import PropagationError
 from .operators import ValidationError
 
 _COMMANDS = {
@@ -58,8 +58,7 @@ def main(argv=None) -> int:
         return 1
     try:
         written = _COMMANDS[args.command](cfg)
-    except (NumericalFailure, ValidationError, PropagationError,
-            NoSteadyStateError) as exc:
+    except (NumericalFailure, ValidationError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -145,17 +145,15 @@ def _info_point(args):
     params = _model_at(cfg, xi, gamma=gamma, j_xy=j_xy)
     flag = ""
     try:
-        rho_ss = lindblad.steady_state(params)
-    except DegenerateSteadyStateError:
-        flag = "degenerate"
-    except NoSteadyStateError:
-        flag = "no-steady-state"
-    except np.linalg.LinAlgError as exc:
+        try:
+            rho_ss = lindblad.steady_state(params)
+        except DegenerateSteadyStateError:
+            flag = "degenerate"
+            rho_ss = lindblad.asymptotic_state(params, _initial_state(cfg))
+    except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(
             f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
             f"j_xy={j_xy:+.3f}: {exc}") from exc
-    if flag:
-        rho_ss = lindblad.asymptotic_state(params, _initial_state(cfg))
     mi = qinfo.mutual_information(rho_ss, (2, 2), cfg.unit)
     mi_classical = qinfo.classical_mutual_information(rho_ss, (2, 2), cfg.unit)
     return {
@@ -169,9 +167,8 @@ def _info_point(args):
 def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Steady-state correlation measures over the (xi, gamma, j_xy) grid.
 
-    Where the fixed point is degenerate or absent, the row holds the
-    asymptotic state reached from the configured initial state, and the CSV
-    flags it.
+    Where the fixed point is degenerate, the row holds the asymptotic state
+    reached from the configured initial state, and the CSV flags it.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,13 +4,15 @@ The Hamiltonian couples two driven qubits through an exchange term; the
 environment enters through a symmetric and an antisymmetric collective jump
 operator whose rates gamma*(1+xi) and gamma*(1-xi) inherit the eigenvalues of
 the bath correlation matrix.  Propagation uses the matrix exponential of the
-16x16 Liouvillian (exact for a time-independent generator); steady states
-and, for a degenerate generator, asymptotic states come from its null spaces.
+16x16 Liouvillian L (exact for a time-independent generator).  Steady and
+asymptotic states come from the null spaces of one SVD of L, where a singular
+value counts as zero up to ``NULL_ATOL * max(||L||_2, 1)``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,21 +56,17 @@ __all__ = [
 OBSERVABLE_NAMES = ("sz1", "sz2", "sx1", "sx2", "purity")
 
 # Numerical tolerances: every recorded state's invariants (``evolve``); the
-# null-space eigenvalue and the existence bound (``steady_state_from_matrix``).
+# zero of L and the bound on a fixed point's ||L rho||, relative to ||L||.
 STATE_ATOL = 1e-8
-NULL_ATOL = 1e-10
-EXIST_ATOL = 1e-8
+NULL_ATOL = 1e-12
 
 # States that ``evolve`` fills with one stacked product.
 BLOCK = 128
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """Null space of the Liouvillian has dimension > 1.
-
-    Carries every null-space candidate (Hermitized, trace-normalized when the
-    trace is not degenerate to zero) in ``candidates``.
-    """
+    """Null space of the Liouvillian has dimension > 1; ``candidates`` holds
+    the state of each null vector (see ``_to_state``)."""
 
     def __init__(self, candidates: list[np.ndarray]):
         self.candidates = candidates
@@ -78,7 +76,8 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class NoSteadyStateError(RuntimeError):
-    """No Liouvillian eigenvalue small enough to qualify as a fixed point."""
+    """No singular value of the generator is zero, or a null vector's state is
+    no fixed point."""
 
 
 class PropagationError(RuntimeError):
@@ -346,37 +345,51 @@ def evolve(
     return EvolutionResult(times=times, states=states, observables=observables)
 
 
+def _null_space(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Right null space R (columns), left null space J+ (rows) and the zero
+    bound: the one place that decides what a zero of a generator is."""
+    u, s, vh = np.linalg.svd(mat)
+    zero = NULL_ATOL * max(s[0], 1.0)
+    null = s <= zero
+    if not null.any():
+        raise NoSteadyStateError(
+            f"smallest singular value {s[-1]:.3e} exceeds {zero:.3e}, no fixed point")
+    return vh[null].conj().T, u[:, null].conj().T, zero
+
+
+def _to_state(v: np.ndarray) -> np.ndarray:
+    """Unvectorize, Hermitize, and divide by the trace unless it is about zero."""
+    m = unvectorize(v, math.isqrt(v.size))
+    m = (m + m.conj().T) / 2.0
+    tr = m.trace().real
+    return m / tr if abs(tr) > 1e-8 else m
+
+
+def _fixed_point(mat: np.ndarray, v: np.ndarray, zero: float, name: str) -> np.ndarray:
+    """The state of null vector v, checked as a fixed point and a density matrix."""
+    rho = _to_state(v)
+    residual = np.linalg.norm(mat @ vectorize(rho))
+    if residual > zero:
+        raise NoSteadyStateError(f"{name} residual {residual:.3e} exceeds {zero:.3e}")
+    return check_density_matrix(rho, herm_atol=1e-9, trace_atol=1e-9, eig_atol=1e-8,
+                                name=name)
+
+
 def steady_state_from_matrix(mat: np.ndarray) -> np.ndarray:
     """Steady state from the null space of a generator matrix.
 
-    The null-space eigenvector is Hermitized and trace-normalized.  A null
-    space of dimension > 1 at ``NULL_ATOL`` raises
-    :class:`DegenerateSteadyStateError` carrying all candidates; no eigenvalue
-    below ``EXIST_ATOL`` raises :class:`NoSteadyStateError`.
+    A null space of dimension > 1 raises :class:`DegenerateSteadyStateError`
+    carrying all candidates; none, or a residual ``||L rho||`` above the zero
+    bound, raises :class:`NoSteadyStateError`.
     """
-    evals, evecs = np.linalg.eig(mat)
-    order = np.argsort(np.abs(evals))
-    dim = int(round(np.sqrt(mat.shape[0])))
-
-    def _to_state(v: np.ndarray) -> np.ndarray:
-        m = unvectorize(v, dim)
-        m = (m + m.conj().T) / 2.0
-        tr = m.trace().real
-        return m / tr if abs(tr) > 1e-8 else m
-
-    null_idx = [i for i in order if abs(evals[i]) <= NULL_ATOL]
-    if len(null_idx) > 1:
-        raise DegenerateSteadyStateError([_to_state(evecs[:, i]) for i in null_idx])
-    if abs(evals[order[0]]) >= EXIST_ATOL:
-        raise NoSteadyStateError(
-            f"smallest |eigenvalue| is {abs(evals[order[0]]):.3e}, no fixed point"
-        )
-    rho = _to_state(evecs[:, order[0]])
-    residual = np.linalg.norm(mat @ vectorize(rho))
-    if residual > 1e-10:
-        raise NoSteadyStateError(f"null-space residual {residual:.3e} exceeds 1e-10")
-    return check_density_matrix(rho, herm_atol=1e-9, trace_atol=1e-9, eig_atol=1e-8,
-                                name="rho_ss")
+    right, _, zero = _null_space(mat)
+    # turn the arbitrary phase of each SVD null vector to a positive trace,
+    # so that Hermitizing cannot cancel it
+    trace = right[::math.isqrt(len(mat)) + 1].sum(axis=0)
+    right = right * np.exp(-1j * np.angle(trace))
+    if right.shape[1] > 1:
+        raise DegenerateSteadyStateError([_to_state(v) for v in right.T])
+    return _fixed_point(mat, right[:, 0], zero, "rho_ss")
 
 
 def steady_state(p: ModelParams) -> np.ndarray:
@@ -397,34 +410,23 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     against the slowest decay; :func:`asymptotic_state` gives the limit.
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    v = expm(build_liouvillian(p) * t) @ vectorize(rho0)
-    rho = unvectorize(v)
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / rho.trace().real
+    return _to_state(expm(build_liouvillian(p) * t) @ vectorize(rho0))
 
 
 def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
     """Limit of exp(L t) rho0 as t -> infinity, exact for a degenerate L.
 
-    One SVD of L gives its right null space R (the fixed points) and its
-    left null space J (the conserved quantities); the limit is
-    R (J+ R)^-1 J+ vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)).
-    Singular values up to ``NULL_ATOL * max(s[0], 1)`` count as zero.  This
-    is the limit when every other eigenvalue of L has a negative real part,
-    and the time average of the trajectory when some are imaginary (as at
-    gamma = 0).
+    The null spaces of :func:`_null_space` give the fixed points R and the
+    conserved quantities J; the limit is R (J+ R)^-1 J+ vec(rho0) (Albert &
+    Jiang, PRA 89, 022118 (2014)).  This is the limit when every other
+    eigenvalue of L has a negative real part, and the time average of the
+    trajectory when some are imaginary (as at gamma = 0).
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    u, s, vh = np.linalg.svd(build_liouvillian(p))
-    null = s <= NULL_ATOL * max(s[0], 1.0)
-    if not null.any():
-        raise NoSteadyStateError(f"smallest singular value is {s[-1]:.3e}, no fixed point")
-    right, left_h = vh[null].conj().T, u[:, null].conj().T
+    mat = build_liouvillian(p)
+    right, left_h, zero = _null_space(mat)
     v = right @ np.linalg.solve(left_h @ right, left_h @ vectorize(rho0))
-    rho = unvectorize(v)
-    rho = (rho + rho.conj().T) / 2.0
-    return check_density_matrix(rho / rho.trace().real, herm_atol=1e-9, trace_atol=1e-9,
-                                eig_atol=1e-8, name="rho_inf")
+    return _fixed_point(mat, v, zero, "rho_inf")
 
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:

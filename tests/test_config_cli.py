@@ -246,7 +246,7 @@ def test_cli_info_sweep_flags_and_rows(tmp_path):
     assert len(rows) == 4  # 2 xi x 2 gamma x 1 jxy
     flags = {(float(r[0]), float(r[1])): r[6] for r in rows}
     assert flags[(0.0, 0.3)] == ""                      # unique fixed point
-    assert flags[(0.0, 0.0)] in {"degenerate", "no-steady-state"}  # gamma = 0
+    assert flags[(0.0, 0.0)] == "degenerate"            # gamma = 0
     assert flags[(1.0, 0.3)] == "degenerate"            # dark singlet
     for r in rows:
         mi, mic, dq = float(r[3]), float(r[4]), float(r[5])
@@ -376,3 +376,31 @@ def test_info_sweep_degenerate_row_is_fixed_point(tmp_path):
     liou = build_liouvillian(ModelParams(xi=1.0, gamma=0.01, j_xy=-1.0))
     assert np.linalg.norm(liou @ vectorize(rho)) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@pytest.mark.parametrize("model, j_xy", [("delta = 1e6", "0.25"), ("tau = 1e6", "0.25"),
+                                         ("", "1e6")], ids=["delta", "tau", "j_xy"])
+def test_info_sweep_unique_fixed_point_of_a_large_generator(tmp_path, model, j_xy):
+    # with ||L|| near 1e6 the null vector's residual is 2e-10, which an
+    # absolute 1e-10 bound took for a missing fixed point
+    path = tmp_path / "big.ini"
+    path.write_text(f"[model]\n{model}\n[sweep]\nxi = 0.3\ngamma = 0.05\nj_xy = {j_xy}\n"
+                    f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert cli.main(["info-sweep", "--config", str(path)]) == 0
+    _, rows = _load_csv(tmp_path / "out" / "info_sweep.csv")
+    assert len(rows) == 1 and rows[0][6] == ""
+
+
+def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
+    from qusync import lindblad
+
+    build = lindblad.build_liouvillian
+    monkeypatch.setattr(lindblad, "build_liouvillian",
+                        lambda p: build(p) + 0.05 * np.eye(16))
+    cfg = ExperimentConfig(
+        xi_values=(0.3,), gamma_values=(0.05,), jxy_values=(0.25,),
+        out_dir=str(tmp_path / "none"),
+    ).validate()
+    with pytest.raises(NumericalFailure,
+                       match=r"xi=\+0\.300, gamma=0\.05, j_xy=\+0\.250: .*no fixed point"):
+        cmd_info_sweep(cfg)

@@ -387,6 +387,29 @@ def test_steady_state_no_fixed_point_detection():
         lb.steady_state_from_matrix(shifted)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
+def test_null_space_rule_scales_with_the_generator(scale):
+    # c L has the fixed points of L; an absolute zero bound lost them at c >= 1e6
+    liou = lb.build_liouvillian(lb.ModelParams(xi=0.3, gamma=0.05))
+    rho = lb.steady_state_from_matrix(scale * liou)
+    assert np.abs(rho - lb.steady_state_from_matrix(liou)).max() <= 1e-12
+    with pytest.raises(lb.DegenerateSteadyStateError):
+        lb.steady_state_from_matrix(
+            scale * lb.build_liouvillian(lb.ModelParams(xi=1.0, gamma=0.05)))
+
+
+def test_null_vector_that_is_no_fixed_point_is_refused():
+    # a null vector of almost zero trace: normalizing it to trace one takes
+    # its residual ||L rho|| from 1e-14 past the zero bound of 1e-12
+    rng = np.random.default_rng(5)
+    null = lb.vectorize(np.diag([1.0, -1.0, 1e-6, 0.0]))
+    basis, _ = np.linalg.qr(np.column_stack([null, rng.standard_normal((16, 15))]))
+    left, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    mat = left @ np.diag(np.r_[np.ones(15), 1e-14]) @ np.roll(basis, -1, axis=1).conj().T
+    with pytest.raises(lb.NoSteadyStateError, match="rho_ss residual .* exceeds 1.000e-12"):
+        lb.steady_state_from_matrix(mat)
+
+
 def test_long_time_state_matches_steady_state():
     p = lb.ModelParams(xi=0.0, gamma=0.3)
     rho_inf = lb.long_time_state(p, ket_density("10"), 400.0)
