@@ -172,29 +172,219 @@ def check_density_matrix(
     return rho
 
 
+# write_csv formats tables of at least KERNEL_MIN_ROWS rows with the numpy
+# kernel below, BLOCK_ROWS rows at a time so that its buffers stay small.
+# Shorter tables, such as the 4x4 state files, are faster through the row
+# template: measured on tables of 4 to 9 float, integer, string or complex
+# columns, the kernel overtakes it between 96 and 128 rows.
+KERNEL_MIN_ROWS = 128
+BLOCK_ROWS = 4096
+
+# The kernel's tables.  10**k is exact in float64 for k <= 22, and Dekker's
+# split of each power into two 26-bit halves is taken once.
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Dekker's split: hi + lo == a exactly, each with at most 26 bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+# A float cell is 28 byte slots, 0 where absent: the sign, "0." and up to
+# three leading zeros, 17 digits with the point among them, and "e-dd".
+_CELL = 28
+_SLOT = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _scaled(ax, k):
+    """ax * 10**k exactly, as p + err with p = fl(ax * 10**k) (Dekker's
+    two-product; ax * 10**k neither overflows nor underflows here)."""
+    b = _POW10.take(k)
+    p = ax * b
+    a_hi, a_lo = _split(ax)
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _off_range(p, err):
+    """Whether p + err lies below 1e16 or at or above 1e17 (both exact)."""
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    return low, high
+
+
+def _digits(d):
+    """The 17 decimal digits of int64 d < 10**17, most significant first,
+    and how many there are up to the last non-zero one."""
+    out = np.empty((17, d.size), np.uint8)
+    hi = (d // 10**8).astype(np.int32)
+    lo = (d - hi.astype(np.int64) * 10**8).astype(np.int32)
+    for v, rows in ((lo, range(16, 8, -1)), (hi, range(8, 0, -1))):
+        for j in rows:
+            q = v // 10
+            out[j] = v - 10 * q
+            v = q
+    out[0] = v
+    n_sig = np.zeros(d.size, np.uint8)
+    for j in range(17):
+        np.maximum(n_sig, (out[j] != 0) * np.uint8(j + 1), out=n_sig)
+    return out, n_sig
+
+
+def _float_cells(x, plus):
+    """The bytes of ``%.17g`` (``%+.17g`` where ``plus``) of each float64 in
+    x, as (_CELL, n) uint8 slots, 0 where absent.
+
+    For 1e-6 <= |x| < 1e16, |x| 10**k with k = 16 - floor(log10 |x|) is
+    p + err exactly; one re-scale fixes a k that log10 got wrong, and the 17
+    digits d are p + err rounded half to even.  Every other cell (zeros,
+    NaN, inf, subnormals, large values, and d outside [1e16, 1e17)) is
+    formatted by Python.
+    """
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e16)
+    ax = np.where(fast, ax, 1.0)
+    k = 16 - np.floor(np.log10(ax)).astype(np.intp)
+    p, err = _scaled(ax, k)
+    low, high = _off_range(p, err)
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        k[redo] = np.clip(k[redo] + low[redo] - high[redo], 0, 22)
+        p[redo], err[redo] = _scaled(ax[redo], k[redo])
+        low, high = _off_range(p[redo], err[redo])
+        fast[redo[low | high]] = False
+    # p >= 1e16 > 2**53 is an integer, so round(p + err) = p + round(err)
+    floor = np.floor(err)
+    half = floor + 0.5
+    d = p.astype(np.int64) + floor.astype(np.int64)
+    d += (err > half) | ((err == half) & (d & 1).astype(bool))
+    fast &= d < 10**17
+    e10 = (16 - k).astype(np.int8)
+
+    digits, n_sig = _digits(d)
+    fixed = e10 >= -4
+    lead = fixed & (e10 < 0)
+    whole = fixed & ~lead
+    # the point's slot among the 18 (18: none there) and the digits kept
+    point = np.where(whole, e10 + 1, np.where(lead, np.int8(18), np.int8(1)))
+    keep = np.where(whole, np.maximum(n_sig, e10 + 1), n_sig)
+    digits |= 48
+    digits *= _SLOT[:17] < keep
+
+    out = np.zeros((_CELL, x.size), np.uint8)
+    out[0] = np.where(x < 0, np.uint8(45), plus * np.uint8(43))
+    np.multiply(lead, np.uint8(48), out=out[1])
+    np.multiply(lead, np.uint8(46), out=out[2])
+    np.multiply((_SLOT[:3] < -1 - e10) & lead, np.uint8(48), out=out[3:6])
+    body = out[6:24]
+    np.copyto(body[:17], digits, where=_SLOT[:17] < point)
+    np.copyto(body[1:], digits, where=_SLOT[1:] > point)
+    frac = np.flatnonzero(keep > point)
+    body[point[frac], frac] = 46
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        e = e10[sci].astype(np.intp)
+        out[24, sci] = 101
+        out[25, sci] = np.where(e < 0, 45, 43)
+        out[26, sci] = 48 + abs(e) // 10
+        out[27, sci] = 48 + abs(e) % 10
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = [(("%+.17g" if s else "%.17g") % v).encode()
+                 for v, s in zip(x[slow].tolist(), plus[slow].tolist())]
+        out[:, slow] = np.array(cells, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
+    return out
+
+
+def _kernel_rows(columns) -> str:
+    """CSV rows of equal-length columns: float64, complex128, or bytes ("S")."""
+    n = len(columns[0])
+    parts, plus = [], []
+    for col in columns:
+        if col.dtype.kind == "f":
+            parts.append(col)
+            plus.append(False)
+        elif col.dtype.kind == "c":
+            parts += [col.real, col.imag]
+            plus += [False, True]
+    cells = iter(())
+    if parts:
+        slots = _float_cells(np.concatenate(parts), np.repeat(plus, n))
+        cells = iter(slots.reshape(_CELL, len(parts), n).transpose(1, 0, 2))
+    comma, newline, imag = (np.full((1, n), ord(c), np.uint8) for c in ",\nj")
+    # one (bytes, rows) slab per cell part and separator, in output order
+    slabs = []
+    for col in columns:
+        if col.dtype.kind == "f":
+            slabs.append(next(cells))
+        elif col.dtype.kind == "c":
+            slabs += [next(cells), next(cells), imag]
+        else:
+            slabs.append(col.view(np.uint8).reshape(n, -1).T)
+        slabs.append(comma)
+    slabs[-1] = newline
+    return np.concatenate(slabs).T.tobytes().translate(None, b"\0").decode("utf-8")
+
+
+def _kernel_columns(columns):
+    """The columns as the kernel takes them: float64, complex128, or the bytes
+    of ``%d`` and ``%s`` cells; None if a string cell holds a NUL, which the
+    kernel would strip with its padding."""
+    out = []
+    for col in columns:
+        kind = col.dtype.kind
+        if kind in "UO":
+            texts = [str(v) for v in col.tolist()]
+            if any("\0" in s for s in texts):
+                return None
+            out.append(np.array([s.encode("utf-8") for s in texts], dtype="S"))
+        elif kind in "iu":
+            out.append(col.astype("S"))
+        else:
+            out.append(col.astype(np.complex128 if kind == "c" else np.float64, copy=False))
+    return out
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV rows, one cell format per column.
 
     Each column's dtype picks its format: floats ``%.17g``, integers ``%d``,
     complex ``re+imj`` with 17 digits per part, strings as given.
     ``header`` is a sequence of column names, or ``None`` for no header line.
+
+    A table of ``KERNEL_MIN_ROWS`` rows or more is formatted by an exact
+    numpy kernel, ``BLOCK_ROWS`` rows at a time, with the same bytes as the
+    per-row ``%`` template that formats shorter tables (and any table with a
+    NUL in a string cell).
     """
     # Cell format by dtype kind; 17 significant digits round-trip float64.
     cell_format = {"f": "%.17g", "i": "%d", "u": "%d", "c": "%.17g%+.17gj",
                    "U": "%s", "O": "%s"}
-    formats, values = [], []
-    for col in columns:
-        col = np.asarray(col)
-        formats.append(cell_format[col.dtype.kind])
-        if col.dtype.kind == "c":
-            values += [col.real.tolist(), col.imag.tolist()]
-        else:
-            values.append(col.tolist())
-    template = ",".join(formats) + "\n"
+    columns = [np.asarray(col) for col in columns]
+    formats = [cell_format[col.dtype.kind] for col in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
+    kernel = _kernel_columns(columns) if n_rows >= KERNEL_MIN_ROWS else None
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.write("".join(template % row for row in zip(*values, strict=True)))
+        if kernel is not None:
+            for start in range(0, n_rows, BLOCK_ROWS):
+                fh.write(_kernel_rows([col[start:start + BLOCK_ROWS] for col in kernel]))
+            return
+        values = []
+        for col in columns:
+            if col.dtype.kind == "c":
+                values += [col.real.tolist(), col.imag.tolist()]
+            else:
+                values.append(col.tolist())
+        template = ",".join(formats) + "\n"
+        fh.write("".join(template % row for row in zip(*values)))
 
 
 def save_matrix_csv(path, m: np.ndarray) -> None:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: partial
 traces are explicit index sums, the discord oracle scans a dense measurement
-grid with full 4x4 projector algebra and eigvalsh spectra, and statistical
+grid with full 4x4 projector algebra and eigvalsh spectra, the 3-outcome POVM
+oracle builds its Bloch vectors from explicit traces, and statistical
 standard errors come from batch means.
 """
 
@@ -96,6 +97,58 @@ def bell_diagonal_discord(c) -> float:
     cmax = max(abs(c1), abs(c2), abs(c3))
     classical = 1.0 - entropy_bits(np.array([(1 - cmax) / 2, (1 + cmax) / 2]))
     return mi - classical
+
+
+def bloch_correlations(rho: np.ndarray):
+    """A's and B's Bloch vectors a, b and the correlation tensor T of a
+    two-qubit state, T[i, j] = tr(rho sigma_i x sigma_j), by explicit traces."""
+    paulis = (SX, SY, SZ)
+    a = np.array([np.trace(rho @ np.kron(s, I2)).real for s in paulis])
+    b = np.array([np.trace(rho @ np.kron(I2, s)).real for s in paulis])
+    t = np.array([[np.trace(rho @ np.kron(s, u)).real for u in paulis] for s in paulis])
+    return a, b, t
+
+
+def povm3(params: np.ndarray):
+    """3-outcome qubit POVMs from 5 angles each: params of shape (..., 5).
+
+    Elements w_k (I + n_k.sigma)/2 with sum w_k = 2 and sum w_k n_k = 0 need
+    coplanar n_k: (theta, phi) give the plane's normal, and alpha_1..3 the
+    directions within it.  The weights are the 2-D cross products
+    w_1 ~ n_2 x n_3 (and cyclic), a POVM when all share one sign.  Returns
+    the weights (..., 3), the directions (..., 3, 3) and that validity mask.
+    """
+    params = np.asarray(params, dtype=float)
+    theta, phi, alpha = params[..., 0], params[..., 1], params[..., 2:]
+    # e_theta and e_phi of the normal (theta, phi) span its plane
+    e1 = np.stack([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi),
+                   -np.sin(theta)], axis=-1)
+    e2 = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    dirs = (np.cos(alpha)[..., None] * e1[..., None, :]
+            + np.sin(alpha)[..., None] * e2[..., None, :])
+    a1, a2, a3 = alpha[..., 0], alpha[..., 1], alpha[..., 2]
+    w = np.sin(np.stack([a3 - a2, a1 - a3, a2 - a1], axis=-1))
+    valid = np.all(w > 0, axis=-1) | np.all(w < 0, axis=-1)
+    total = np.where(valid, w.sum(axis=-1), 1.0)
+    return 2.0 * w / total[..., None], dirs, valid
+
+
+def povm3_conditional_entropy(corr, weights: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Conditional entropy (nats) of A after POVMs on B, from (a, b, T):
+    weights (..., K) and directions (..., K, 3).
+
+    Outcome k, with weight w_k and direction n_k, has probability
+    w_k (1 + b.n_k)/2 and leaves A with Bloch vector (a + T n_k)/(1 + b.n_k).
+    """
+    a, b, t = corr
+    u0 = 1.0 + dirs @ b
+    p = weights * u0 / 2.0
+    live = p > 1e-15
+    length = np.linalg.norm(a + dirs @ t.T, axis=-1) / np.where(live, u0, 1.0)
+    lam = np.clip(np.stack([(1.0 - length) / 2.0, (1.0 + length) / 2.0], axis=-1), 0.0, 1.0)
+    safe = np.where(lam > 0.0, lam, 1.0)
+    entropy = -(safe * np.log(safe)).sum(axis=-1)
+    return np.where(live, p * entropy, 0.0).sum(axis=-1)
 
 
 def batch_sem(samples: np.ndarray, n_batches: int = 100) -> tuple[float, float]:

@@ -287,6 +287,18 @@ def test_trajectory_positivity_violation_names_step():
         lb._validate_trajectory(states, lb.STATE_ATOL)
 
 
+@pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
+def test_trajectory_hermiticity_checked_on_every_entry(entry):
+    # a deviation on or off the diagonal, on either side of it, names the
+    # step and the largest |rho_ij - conj(rho_ji)| of the full matrix
+    states = np.stack([random_state(seed) for seed in range(6)])
+    states[4][entry] += 3e-6 + 2e-6j
+    dev = np.abs(states[4] - states[4].conj().T).max()
+    with pytest.raises(lb.PropagationError,
+                       match=rf"hermiticity violated at step 4: deviation {dev:.3e}"):
+        lb._validate_trajectory(states, lb.STATE_ATOL)
+
+
 def test_steady_state_pure_pumping():
     p = lb.ModelParams(delta=1.0, tau=0.0, j_xy=0.0, gamma=0.2, xi=0.0)
     rho = lb.steady_state(p)

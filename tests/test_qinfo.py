@@ -13,8 +13,12 @@ from tests.oracles import (
     batch_sem,
     bell_diagonal_discord,
     bell_state,
+    bloch_correlations,
     dense_grid_discord,
     haar_reduced_purity,
+    loop_partial_trace,
+    povm3,
+    povm3_conditional_entropy,
 )
 
 SWAP = np.array(
@@ -366,6 +370,45 @@ def test_degree_of_quantumness_bounds_discord_above():
     for rho in states:
         assert (qinfo.degree_of_quantumness(rho)
                 >= qinfo.discord_min(rho).discord - 1e-9)
+
+
+def povm_gain(rho, rng, n_samples=4000, n_refine=2):
+    """How far the best 3-outcome POVM found lowers the conditional entropy
+    (nats) below the projective optimum of discord_min: a random search over
+    the 5 POVM angles, then Nelder-Mead from its best points."""
+    from scipy.optimize import minimize as nelder_mead
+
+    corr = bloch_correlations(rho)
+    s_a = qinfo.von_neumann_entropy(loop_partial_trace(rho, (2, 2), "A"), EntropyUnit.NATS)
+    best_projective = s_a - qinfo.discord_min(rho, EntropyUnit.NATS).classical_correlation
+
+    def entropies(params):
+        weights, dirs, valid = povm3(params)
+        return np.where(valid, povm3_conditional_entropy(corr, weights, dirs), np.inf)
+
+    samples = rng.uniform(0.0, 2.0 * math.pi, (n_samples, 5))
+    values = entropies(samples)
+    best = values.min()
+    for i in np.argsort(values)[:n_refine]:
+        res = nelder_mead(lambda x: float(entropies(x)), samples[i], method="Nelder-Mead",
+                          options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 800})
+        best = min(best, res.fun)
+    return best_projective - best
+
+
+def test_three_outcome_povm_does_not_beat_projective_discord():
+    # Rank-2 states: projective measurements are optimal (Galve, Giorgi &
+    # Zambrini, EPL 96, 40005 (2011)), so no 3-outcome POVM may beat them.
+    # Ranks 3 and 4 are only reported: there the projective discord is an
+    # upper bound.
+    rng = np.random.default_rng(211)
+    gains = {}
+    for rank, n_states in ((2, 6), (3, 3), (4, 3)):
+        gains[rank] = max(povm_gain(qinfo.random_density_matrix(4, rank, rng), rng)
+                          for _ in range(n_states))
+    print("[povm] largest 3-outcome gain over the projective optimum (nats): "
+          + ", ".join(f"rank {r}: {g:.2e}" for r, g in gains.items()))
+    assert gains[2] <= 1e-9
 
 
 def test_degree_of_quantumness_relabeling_invariance():
