@@ -53,11 +53,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig().validate()
         cfg = apply_overrides(cfg, out_dir=args.out, seed=args.seed, unit=args.unit)
+        written = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        written = _COMMANDS[args.command](cfg)
     except (NumericalFailure, ValidationError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -73,8 +73,10 @@ class ExperimentConfig:
             raise ConfigError("sweep gamma values must be >= 0")
         if self.n_states < 1:
             raise ConfigError("n_states must be >= 1")
-        if any(not 1 <= r <= 4 for r in self.ranks):
-            raise ConfigError("ranks must lie in [1, 4] for two-qubit states")
+        if not self.ranks or any(not 1 <= r <= 4 for r in self.ranks):
+            raise ConfigError("ranks must be a non-empty list in [1, 4] for two-qubit states")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lindblad, phaselock, qinfo, svgplot
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .lindblad import (
     DegenerateSteadyStateError,
     ModelParams,
@@ -65,8 +65,20 @@ def _model_at(cfg: ExperimentConfig, xi: float, gamma=None, j_xy=None) -> ModelP
     return replace(cfg.model, **updates)
 
 
-def _xi_tag(xi: float) -> str:
-    return f"xi{float(xi) + 0.0:+.3f}"
+def _tag(name: str, value: float) -> str:
+    """The tag of a swept value in output file names."""
+    fmt = {"xi": "xi{:+.3f}", "gamma": "g{:.4g}", "j_xy": "j{:+.3f}"}[name]
+    return fmt.format(float(value) + 0.0)
+
+
+def _refuse_shared_tags(**sweeps) -> None:
+    """Refuse sweep values whose files would overwrite each other."""
+    for name, values in sweeps.items():
+        tags = [_tag(name, v) for v in values]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ConfigError(f"sweep {name} values {values[tags.index(tag)]!r} and "
+                                  f"{values[i]!r} would write to the same files ({tag})")
 
 
 def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
@@ -82,16 +94,17 @@ def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
 
 def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory CSV and magnetization plot for every xi in the sweep list."""
+    _refuse_shared_tags(xi=cfg.xi_values)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for xi, res in _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
                                cfg.workers):
-        csv_path = out / f"trajectory_{_xi_tag(xi)}.csv"
+        csv_path = out / f"trajectory_{_tag('xi', xi)}.csv"
         lindblad.save_evolution_csv(csv_path, res)
-        bloch_path = out / f"bloch_{_xi_tag(xi)}.csv"
+        bloch_path = out / f"bloch_{_tag('xi', xi)}.csv"
         lindblad.save_bloch_csv(bloch_path, res)
-        svg_path = out / f"trajectory_{_xi_tag(xi)}.svg"
+        svg_path = out / f"trajectory_{_tag('xi', xi)}.svg"
         svgplot.line_plot(
             svg_path,
             [("<sz1>", res.times, res.observables["sz1"]),
@@ -170,6 +183,8 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     Where the fixed point is degenerate, the row holds the asymptotic state
     reached from the configured initial state, and the CSV flags it.
     """
+    if cfg.save_states:
+        _refuse_shared_tags(xi=cfg.xi_values, gamma=cfg.gamma_values, j_xy=cfg.jxy_values)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [(cfg, j, x, g) for j, x, g
@@ -185,8 +200,8 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
 
     if cfg.save_states:
         for r in rows:
-            name = (f"rho_ss_{_xi_tag(r['xi'])}_g{r['gamma']:.4g}"
-                    f"_j{r['jxy']:+.3f}.csv")
+            name = (f"rho_ss_{_tag('xi', r['xi'])}_{_tag('gamma', r['gamma'])}"
+                    f"_{_tag('j_xy', r['jxy'])}.csv")
             save_matrix_csv(out / name, r["rho_ss"])
             written.append(out / name)
 

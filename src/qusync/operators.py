@@ -172,12 +172,8 @@ def check_density_matrix(
     return rho
 
 
-# write_csv formats tables of at least KERNEL_MIN_ROWS rows with the numpy
-# kernel below, BLOCK_ROWS rows at a time so that its buffers stay small.
-# Shorter tables, such as the 4x4 state files, are faster through the row
-# template: measured on tables of 4 to 9 float, integer, string or complex
-# columns, the kernel overtakes it between 96 and 128 rows.
-KERNEL_MIN_ROWS = 128
+# write_csv formats tables whose columns are all floats with the numpy kernel
+# below, BLOCK_ROWS rows at a time so that its buffers stay small.
 BLOCK_ROWS = 4096
 
 # The kernel's tables.  10**k is exact in float64 for k <= 22, and Dekker's
@@ -194,9 +190,9 @@ def _split(a):
 
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI, _POW10_LO = _split(_POW10)
-# A float cell is 28 byte slots, 0 where absent: the sign, "0." and up to
-# three leading zeros, 17 digits with the point among them, and "e-dd".
-_CELL = 28
+# A float cell is 24 byte slots, 0 where absent: the sign, "0." and up to
+# three leading zeros, and 17 digits with the point among them.
+_CELL = 24
 _SLOT = np.arange(18, dtype=np.int8)[:, None]
 
 
@@ -229,31 +225,28 @@ def _digits(d):
             out[j] = v - 10 * q
             v = q
     out[0] = v
-    n_sig = np.zeros(d.size, np.uint8)
-    for j in range(17):
-        np.maximum(n_sig, (out[j] != 0) * np.uint8(j + 1), out=n_sig)
-    return out, n_sig
+    return out, ((out != 0) * _SLOT[1:]).max(axis=0)
 
 
-def _float_cells(x, plus):
-    """The bytes of ``%.17g`` (``%+.17g`` where ``plus``) of each float64 in
-    x, as (_CELL, n) uint8 slots, 0 where absent.
+def _float_cells(x):
+    """The bytes of ``%.17g`` of each float64 in x, as (_CELL, n) uint8
+    slots, 0 where absent.
 
-    For 1e-6 <= |x| < 1e16, |x| 10**k with k = 16 - floor(log10 |x|) is
-    p + err exactly; one re-scale fixes a k that log10 got wrong, and the 17
-    digits d are p + err rounded half to even.  Every other cell (zeros,
-    NaN, inf, subnormals, large values, and d outside [1e16, 1e17)) is
-    formatted by Python.
+    For 1e-4 <= |x| < 1e16, where ``%.17g`` writes no exponent, |x| 10**k
+    with k = 16 - floor(log10 |x|) is p + err exactly; one re-scale fixes a
+    k that log10 got wrong, and the 17 digits d are p + err rounded half to
+    even.  Every other cell (zeros, NaN, inf, small and large values, and d
+    outside [1e16, 1e17)) is formatted by Python.
     """
     ax = np.abs(x)
-    fast = (ax >= 1e-6) & (ax < 1e16)
+    fast = (ax >= 1e-4) & (ax < 1e16)
     ax = np.where(fast, ax, 1.0)
     k = 16 - np.floor(np.log10(ax)).astype(np.intp)
     p, err = _scaled(ax, k)
     low, high = _off_range(p, err)
     redo = np.flatnonzero(low | high)
     if redo.size:
-        k[redo] = np.clip(k[redo] + low[redo] - high[redo], 0, 22)
+        k[redo] = k[redo] + low[redo] - high[redo]
         p[redo], err[redo] = _scaled(ax[redo], k[redo])
         low, high = _off_range(p[redo], err[redo])
         fast[redo[low | high]] = False
@@ -266,87 +259,39 @@ def _float_cells(x, plus):
     e10 = (16 - k).astype(np.int8)
 
     digits, n_sig = _digits(d)
-    fixed = e10 >= -4
-    lead = fixed & (e10 < 0)
-    whole = fixed & ~lead
+    lead = e10 < 0
     # the point's slot among the 18 (18: none there) and the digits kept
-    point = np.where(whole, e10 + 1, np.where(lead, np.int8(18), np.int8(1)))
-    keep = np.where(whole, np.maximum(n_sig, e10 + 1), n_sig)
+    point = np.where(lead, np.int8(18), e10 + 1)
+    keep = np.where(lead, n_sig, np.maximum(n_sig, e10 + 1))
     digits |= 48
     digits *= _SLOT[:17] < keep
 
     out = np.zeros((_CELL, x.size), np.uint8)
-    out[0] = np.where(x < 0, np.uint8(45), plus * np.uint8(43))
+    np.multiply(x < 0, np.uint8(45), out=out[0])
     np.multiply(lead, np.uint8(48), out=out[1])
     np.multiply(lead, np.uint8(46), out=out[2])
-    np.multiply((_SLOT[:3] < -1 - e10) & lead, np.uint8(48), out=out[3:6])
-    body = out[6:24]
+    np.multiply(_SLOT[:3] < -1 - e10, np.uint8(48), out=out[3:6])
+    body = out[6:]
     np.copyto(body[:17], digits, where=_SLOT[:17] < point)
     np.copyto(body[1:], digits, where=_SLOT[1:] > point)
     frac = np.flatnonzero(keep > point)
     body[point[frac], frac] = 46
-    sci = np.flatnonzero(~fixed)
-    if sci.size:
-        e = e10[sci].astype(np.intp)
-        out[24, sci] = 101
-        out[25, sci] = np.where(e < 0, 45, 43)
-        out[26, sci] = 48 + abs(e) // 10
-        out[27, sci] = 48 + abs(e) % 10
     slow = np.flatnonzero(~fast)
     if slow.size:
-        cells = [(("%+.17g" if s else "%.17g") % v).encode()
-                 for v, s in zip(x[slow].tolist(), plus[slow].tolist())]
+        cells = ["%.17g" % v for v in x[slow].tolist()]
         out[:, slow] = np.array(cells, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
     return out
 
 
 def _kernel_rows(columns) -> str:
-    """CSV rows of equal-length columns: float64, complex128, or bytes ("S")."""
+    """CSV rows of equal-length float columns."""
     n = len(columns[0])
-    parts, plus = [], []
-    for col in columns:
-        if col.dtype.kind == "f":
-            parts.append(col)
-            plus.append(False)
-        elif col.dtype.kind == "c":
-            parts += [col.real, col.imag]
-            plus += [False, True]
-    cells = iter(())
-    if parts:
-        slots = _float_cells(np.concatenate(parts), np.repeat(plus, n))
-        cells = iter(slots.reshape(_CELL, len(parts), n).transpose(1, 0, 2))
-    comma, newline, imag = (np.full((1, n), ord(c), np.uint8) for c in ",\nj")
-    # one (bytes, rows) slab per cell part and separator, in output order
-    slabs = []
-    for col in columns:
-        if col.dtype.kind == "f":
-            slabs.append(next(cells))
-        elif col.dtype.kind == "c":
-            slabs += [next(cells), next(cells), imag]
-        else:
-            slabs.append(col.view(np.uint8).reshape(n, -1).T)
-        slabs.append(comma)
-    slabs[-1] = newline
-    return np.concatenate(slabs).T.tobytes().translate(None, b"\0").decode("utf-8")
-
-
-def _kernel_columns(columns):
-    """The columns as the kernel takes them: float64, complex128, or the bytes
-    of ``%d`` and ``%s`` cells; None if a string cell holds a NUL, which the
-    kernel would strip with its padding."""
-    out = []
-    for col in columns:
-        kind = col.dtype.kind
-        if kind in "UO":
-            texts = [str(v) for v in col.tolist()]
-            if any("\0" in s for s in texts):
-                return None
-            out.append(np.array([s.encode("utf-8") for s in texts], dtype="S"))
-        elif kind in "iu":
-            out.append(col.astype("S"))
-        else:
-            out.append(col.astype(np.complex128 if kind == "c" else np.float64, copy=False))
-    return out
+    cells = _float_cells(np.concatenate(columns, dtype=np.float64))
+    # per row and column, the cell's slots and then a comma or a newline
+    table = np.full((_CELL + 1, len(columns), n), ord(","), np.uint8)
+    table[:_CELL] = cells.reshape(_CELL, len(columns), n)
+    table[_CELL, -1] = ord("\n")
+    return table.transpose(2, 1, 0).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(path, header, columns) -> None:
@@ -356,10 +301,9 @@ def write_csv(path, header, columns) -> None:
     complex ``re+imj`` with 17 digits per part, strings as given.
     ``header`` is a sequence of column names, or ``None`` for no header line.
 
-    A table of ``KERNEL_MIN_ROWS`` rows or more is formatted by an exact
-    numpy kernel, ``BLOCK_ROWS`` rows at a time, with the same bytes as the
-    per-row ``%`` template that formats shorter tables (and any table with a
-    NUL in a string cell).
+    A table whose columns are all floats is formatted by an exact numpy
+    kernel, ``BLOCK_ROWS`` rows at a time, with the same bytes as the
+    per-row ``%`` template that formats every other table.
     """
     # Cell format by dtype kind; 17 significant digits round-trip float64.
     cell_format = {"f": "%.17g", "i": "%d", "u": "%d", "c": "%.17g%+.17gj",
@@ -369,13 +313,12 @@ def write_csv(path, header, columns) -> None:
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
-    kernel = _kernel_columns(columns) if n_rows >= KERNEL_MIN_ROWS else None
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        if kernel is not None:
+        if all(col.dtype.kind == "f" for col in columns):
             for start in range(0, n_rows, BLOCK_ROWS):
-                fh.write(_kernel_rows([col[start:start + BLOCK_ROWS] for col in kernel]))
+                fh.write(_kernel_rows([col[start:start + BLOCK_ROWS] for col in columns]))
             return
         values = []
         for col in columns:

@@ -166,6 +166,10 @@ def test_validation_errors():
         ExperimentConfig(t_final=0.001).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(ranks=(5,)).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(ranks=()).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=-1).validate()
 
 
 def test_missing_config_file_exits_one(capsys):
@@ -177,6 +181,51 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[sweep]\nxi =\n")
     assert cli.main(["sync-sweep", "--config", str(path)]) == 1
+
+
+def test_empty_ranks_list_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, "[discord]\nranks =\n[output]\ndirectory = {out}\n")
+    assert cli.main(["discord-bench", "--config", str(path)]) == 1
+    assert "config error: ranks must be a non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_BENCH.replace("seed = 5", "seed = -1"))
+    assert cli.main(["discord-bench", "--config", str(path)]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    path = write_config(tmp_path, SMALL_BENCH)
+    assert cli.main(["discord-bench", "--config", str(path), "--seed", "-3"]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, sweep, values", [
+    ("evolve", "[sweep]\nxi = 0.1234, 0.1231\n", ("0.1234", "0.1231")),
+    ("evolve", "[sweep]\nxi = -0.0, 0.0\n", ("-0.0", "0.0")),
+    ("info-sweep", "[sweep]\nxi = 0.5\ngamma = 0.12341, 0.12342\nj_xy = 0\n"
+     "[output]\nsave_states = true\n", ("0.12341", "0.12342")),
+    ("info-sweep", "[sweep]\nxi = 0.5\ngamma = 0.1\nj_xy = 0.2501, 0.2504\n"
+     "[output]\nsave_states = true\n", ("0.2501", "0.2504")),
+], ids=["evolve-xi", "evolve-signed-zero", "info-gamma", "info-j_xy"])
+def test_sweep_values_sharing_a_file_exit_one(tmp_path, capsys, command, sweep, values):
+    path = write_config(tmp_path, "[evolution]\nt_final = 1\n" + sweep)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(v in err for v in values)
+    assert not out.exists()
+
+
+def test_fine_sweeps_accepted_where_no_file_is_tagged(tmp_path):
+    path = write_config(tmp_path, "[evolution]\nt_final = 4\n[sweep]\nxi = 0.1234, 0.1231\n"
+                        "gamma = 0.12341, 0.12342\nj_xy = 0.2501, 0.2504\n")
+    for command in ("sync-sweep", "info-sweep"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    _, rows = _load_csv(tmp_path / "sync-sweep" / "sync_sweep.csv")
+    assert len(rows) == 2
+    _, rows = _load_csv(tmp_path / "info-sweep" / "info_sweep.csv")
+    assert len(rows) == 8
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
@@ -404,3 +453,35 @@ def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"xi=\+0\.300, gamma=0\.05, j_xy=\+0\.250: .*no fixed point"):
         cmd_info_sweep(cfg)
+
+
+def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
+    # The kernel saves evolve most of its formatting time; a non-float column
+    # in its tables would send them to the slower row template.
+    from qusync import experiments, lindblad, operators
+
+    writing, reached = [], set()
+    write_csv, kernel_rows = operators.write_csv, operators._kernel_rows
+
+    def traced_write_csv(path, header, columns):
+        writing.append(Path(path).name)
+        write_csv(path, header, columns)
+
+    def traced_kernel_rows(columns):
+        reached.add(writing[-1])
+        return kernel_rows(columns)
+
+    for module in (operators, lindblad, experiments):
+        monkeypatch.setattr(module, "write_csv", traced_write_csv)
+    monkeypatch.setattr(operators, "_kernel_rows", traced_kernel_rows)
+    cmd_evolve(ExperimentConfig(xi_values=(-0.5, 0.5), t_final=2.0,
+                                out_dir=str(tmp_path / "ev")).validate())
+    cmd_info_sweep(ExperimentConfig(xi_values=(0.0, 1.0), gamma_values=(0.3,),
+                                    jxy_values=(0.25,), out_dir=str(tmp_path / "info"),
+                                    save_states=True).validate())
+    tables = {f"{kind}_xi{xi}.csv" for kind in ("trajectory", "bloch")
+              for xi in ("-0.500", "+0.500")}
+    states = {name for name in writing if name.startswith("rho_ss_")}
+    assert tables <= reached
+    assert "info_sweep.csv" in writing and len(states) == 2
+    assert reached.isdisjoint(states | {"info_sweep.csv"})

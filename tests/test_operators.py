@@ -171,19 +171,17 @@ def test_matrix_csv_golden_format(tmp_path):
 
 # --- The CSV writer's float kernel against Python's %.17g -------------------
 
-def kernel_text(x, plus):
+def kernel_text(x):
     """The cells the kernel formats for float64 array x, one per line."""
-    rows = np.vstack([ops._float_cells(x, plus), np.full((1, x.size), ord("\n"), np.uint8)])
+    rows = np.vstack([ops._float_cells(x), np.full((1, x.size), ord("\n"), np.uint8)])
     return rows.T.tobytes().translate(None, b"\0").decode()
 
 
 def assert_cells_exact(x):
     x = np.asarray(x, dtype=np.float64)
-    values = x.tolist()
-    for plus, fmt in ((False, "%.17g"), (True, "%+.17g")):
-        got = kernel_text(x, np.full(x.shape, plus)).split("\n")[:-1]
-        bad = [(v, g) for v, g in zip(values, got) if g != fmt % v]
-        assert not bad, f"{len(bad)} cells differ from {fmt}, e.g. {bad[:3]}"
+    got = kernel_text(x).split("\n")[:-1]
+    bad = [(v, g) for v, g in zip(x.tolist(), got) if g != "%.17g" % v]
+    assert not bad, f"{len(bad)} cells differ from %.17g, e.g. {bad[:3]}"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -194,8 +192,7 @@ def test_float_kernel_matches_percent_g_on_every_float(values):
 
 def test_float_kernel_bit_pattern_sweep():
     # 1M seeded bit patterns: any mantissa and sign, with exponents spread
-    # over the binades around the kernel's range [1e-6, 1e16) and beyond it.
-    # Like a complex column, the cells alternate between %.17g and %+.17g.
+    # over the binades around the kernel's range [1e-4, 1e16) and beyond it.
     rng = np.random.default_rng(20260)
     n = 1_000_000
     exponent = rng.integers(1023 - 24, 1023 + 58, n, dtype=np.uint64)
@@ -203,8 +200,7 @@ def test_float_kernel_bit_pattern_sweep():
             | (exponent << np.uint64(52))
             | rng.integers(0, 2**52, n, dtype=np.uint64))
     x = bits.view(np.float64)
-    got = kernel_text(x, np.arange(n) % 2 == 1)
-    assert got == ("%.17g\n%+.17g\n" * (n // 2)) % tuple(x.tolist())
+    assert kernel_text(x) == ("%.17g\n" * n) % tuple(x.tolist())
 
 
 def test_float_kernel_powers_of_ten_and_their_neighbours():
@@ -242,72 +238,31 @@ def test_float_kernel_edge_values():
     x = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, tiny, 1e-6, 1e16,
          np.nextafter(1e-6, 0.0), np.nextafter(1e16, 0.0), 2.0**53, 2.0**53 + 2,
          9.999999999999999e15, 0.1, 0.2, 0.3, 1.0, 123.456, 1e-5, 1e-4,
+         np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 9.99999999999999e-5,
          np.finfo(np.float64).max, 1.7976931348623157e308]
     assert_cells_exact(np.concatenate([x, np.negative(x)]))
 
 
-# --- Both CSV paths write the same bytes ------------------------------------
+# --- write_csv against Python's % ------------------------------------------
+
+def percent_rows(columns):
+    """The kernel's rows, with each cell made by Python's %.17g instead."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in zip(*(col.tolist() for col in columns)))
+
 
 def both_paths(monkeypatch, tmp_path, write):
-    """The bytes of ``write(path)`` through the row template and through the
-    kernel."""
-    out = []
-    for name, min_rows in (("template", 10**9), ("kernel", 0)):
-        monkeypatch.setattr(ops, "KERNEL_MIN_ROWS", min_rows)
-        path = tmp_path / f"{name}.csv"
+    """The bytes of ``write(path)`` through the kernel, and with the kernel's
+    rows made by Python's % instead."""
+    calls = []
+    path = tmp_path / "t.csv"
+    write(path)
+    kernel = path.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_kernel_rows", lambda columns: calls.append(1) or percent_rows(columns))
         write(path)
-        out.append(path.read_bytes())
-    return out
-
-
-def test_evolution_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
-    p = lindblad.ModelParams(xi=0.3)
-    res = lindblad.evolve(p, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex), 3.0, 0.01)
-    for save in (lindblad.save_evolution_csv, lindblad.save_bloch_csv):
-        template, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, res))
-        assert kernel == template
-    rng = np.random.default_rng(3)
-    traj = noise.NoiseTrajectory(np.arange(500) * 0.01, rng.standard_normal((500, 2)))
-    template, kernel = both_paths(monkeypatch, tmp_path,
-                                  lambda path: noise.save_trajectory_csv(path, traj))
-    assert kernel == template
-
-
-def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
-    rng = np.random.default_rng(8)
-    n = 300
-    xi, gamma = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
-    jxy = rng.choice([-1.0, 0.0, 1.0], n)
-    sync_rows = list(zip(xi, gamma, jxy, rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 1, n)))
-    template, kernel = both_paths(monkeypatch, tmp_path,
-                                  lambda path: phaselock.save_metrics_csv(path, sync_rows))
-    assert kernel == template
-    header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
-              "degree_of_quantumness", "flag")
-    info = [xi, gamma, jxy, rng.uniform(0, 1, n), rng.uniform(0, 1e-3, n), rng.uniform(0, 1, n)]
-    for flags in ([""] * n, rng.choice(["", "degenerate"], n).tolist()):
-        template, kernel = both_paths(monkeypatch, tmp_path,
-                                      lambda path: ops.write_csv(path, header, info + [flags]))
-        assert kernel == template
-    seeds = [2**63 - 1, 0, 1, 2**62 + 12345] + rng.integers(0, 2**63 - 1, n - 4).tolist()
-    ranks = rng.integers(2, 5, n).tolist()
-    discord_rows = [(s, r, *rng.uniform(0, 1, 7)) for s, r in zip(seeds, ranks)]
-    template, kernel = both_paths(monkeypatch, tmp_path,
-                                  lambda path: qinfo.save_discord_csv(path, discord_rows))
-    assert kernel == template
-    assert template.splitlines()[1].startswith(b"9223372036854775807,")
-
-
-def test_complex_matrix_same_bytes_on_both_paths(monkeypatch, tmp_path):
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 3.0, -2.5e-7])
-    m.real[:2] = special.reshape(2, 4)
-    m.imag[:2] = special[::-1].reshape(2, 4)
-    m.imag[2] = [-0.0, np.nan, np.inf, -np.inf]
-    template, kernel = both_paths(monkeypatch, tmp_path, lambda path: ops.save_matrix_csv(path, m))
-    assert kernel == template
-    assert b"+nanj" in template and b"-0j" in template and b"-infj" in template
+    assert calls, "the table did not reach the kernel"
+    return path.read_bytes(), kernel
 
 
 def template_text(header, columns):
@@ -318,21 +273,78 @@ def template_text(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def test_evolution_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
+    p = lindblad.ModelParams(xi=0.3)
+    res = lindblad.evolve(p, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex), 3.0, 0.01)
+    for save in (lindblad.save_evolution_csv, lindblad.save_bloch_csv):
+        percent, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, res))
+        assert kernel == percent
+    rng = np.random.default_rng(3)
+    traj = noise.NoiseTrajectory(np.arange(500) * 0.01, rng.standard_normal((500, 2)))
+    percent, kernel = both_paths(monkeypatch, tmp_path,
+                                 lambda path: noise.save_trajectory_csv(path, traj))
+    assert kernel == percent
+
+
+def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
+    rng = np.random.default_rng(8)
+    n = 300
+    xi, gamma = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
+    jxy = rng.choice([-1.0, 0.0, 1.0], n)
+    sync_rows = list(zip(xi, gamma, jxy, rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 1, n)))
+    percent, kernel = both_paths(monkeypatch, tmp_path,
+                                 lambda path: phaselock.save_metrics_csv(path, sync_rows))
+    assert kernel == percent
+    # tables with a string or integer column go through the row template
+    path = tmp_path / "t.csv"
+    header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
+              "degree_of_quantumness", "flag")
+    info = [xi, gamma, jxy, rng.uniform(0, 1, n), rng.uniform(0, 1e-3, n), rng.uniform(0, 1, n)]
+    for flags in ([""] * n, rng.choice(["", "degenerate"], n).tolist()):
+        ops.write_csv(path, header, info + [flags])
+        assert path.read_text() == template_text(header, [c.tolist() for c in info] + [flags])
+    seeds = [2**63 - 1, 0, 1, 2**62 + 12345] + rng.integers(0, 2**63 - 1, n - 4).tolist()
+    ranks = rng.integers(2, 5, n).tolist()
+    discord_rows = [(s, r, *rng.uniform(0, 1, 7).tolist()) for s, r in zip(seeds, ranks)]
+    qinfo.save_discord_csv(path, discord_rows)
+    header = path.read_text().split("\n")[0].split(",")
+    assert path.read_text() == template_text(header, list(zip(*discord_rows)))
+    assert path.read_text().splitlines()[1].startswith("9223372036854775807,")
+
+
+def test_complex_matrix_same_bytes_on_both_paths(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 3.0, -2.5e-7])
+    m.real[:2] = special.reshape(2, 4)
+    m.imag[:2] = special[::-1].reshape(2, 4)
+    m.imag[2] = [-0.0, np.nan, np.inf, -np.inf]
+    path = tmp_path / "m.csv"
+    ops.save_matrix_csv(path, m)
+    text = path.read_text()
+    assert text == "".join(",".join("%.17g%+.17gj" % (z.real, z.imag) for z in row) + "\n"
+                           for row in m.tolist())
+    assert "+nanj" in text and "-0j" in text and "-infj" in text
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("rows", ["crossover", "block", "two_blocks"])
+@pytest.mark.parametrize("rows", ["one_row", "block", "two_blocks", "mixed"])
 def test_write_csv_row_counts_at_the_path_and_block_edges(tmp_path, rows, offset):
-    n = {"crossover": ops.KERNEL_MIN_ROWS, "block": ops.BLOCK_ROWS,
-         "two_blocks": 2 * ops.BLOCK_ROWS}[rows] + offset
+    n = {"one_row": 1, "block": ops.BLOCK_ROWS, "two_blocks": 2 * ops.BLOCK_ROWS,
+         "mixed": ops.BLOCK_ROWS}[rows] + offset
     rng = np.random.default_rng(n)
     columns = [(np.arange(n) * 0.01).tolist(), rng.standard_normal(n).tolist(),
-               rng.integers(-5, 5, n).tolist(), rng.choice(["", "x"], n).tolist()]
+               (1e-5 * rng.standard_normal(n)).tolist()]
+    if rows == "mixed":
+        columns[2:] = [rng.integers(-5, 5, n).tolist(), rng.choice(["", "x"], n).tolist()]
+    header = ("t", "v", "w", "s")[:len(columns)]
     path = tmp_path / "t.csv"
-    ops.write_csv(path, ("t", "v", "k", "s"), columns)
-    assert path.read_text() == template_text(("t", "v", "k", "s"), columns)
+    ops.write_csv(path, header, columns)
+    assert path.read_text() == template_text(header, columns)
 
 
 def test_write_csv_keeps_nul_inside_string_cells(tmp_path):
-    n = ops.KERNEL_MIN_ROWS + 5
+    n = 300
     labels = ["a\0b" if i % 7 == 0 else "c" for i in range(n)]
     path = tmp_path / "s.csv"
     ops.write_csv(path, ("x", "label"), [np.linspace(0, 1, n), labels])
