@@ -11,7 +11,6 @@ files are byte-identical for identical config and seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -46,6 +45,9 @@ def _map_points(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
+    # imported here, so that serial runs do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunk)

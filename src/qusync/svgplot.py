@@ -8,7 +8,6 @@ under version control.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -25,6 +24,12 @@ _CMAP = [(0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
          (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
          (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
          (0.741, 0.873, 0.150), (0.993, 0.906, 0.144)]
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as ``xml.sax.saxutils.escape``
+    does; that module is not imported because it loads ``urllib.request``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _color(frac: float) -> str:
@@ -64,14 +69,14 @@ class _Canvas:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2}" y="22" font-family="sans-serif" font-size="14" '
-            f'text-anchor="middle">{escape(title)}</text>',
+            f'text-anchor="middle">{_escape(title)}</text>',
             f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle">'
-            f'{escape(xlabel)}</text>',
+            f'{_escape(xlabel)}</text>',
             f'<text x="16" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle" '
             f'transform="rotate(-90 16 {(MARGIN_T + HEIGHT - MARGIN_B) / 2})">'
-            f'{escape(ylabel)}</text>',
+            f'{_escape(ylabel)}</text>',
         ]
 
     def add(self, fragment: str) -> None:
@@ -147,8 +152,10 @@ def _m4(column, y) -> np.ndarray:
     firsts = np.concatenate([[0], ends + 1])
     lasts = np.concatenate([ends, [len(column) - 1]])
     by_height = np.lexsort((y, column))
-    return np.unique(np.concatenate(
-        [firsts, lasts, by_height[firsts], by_height[lasts]]))
+    # a mask, not np.unique: that would import numpy.ma on first use
+    keep = np.zeros(len(column), dtype=bool)
+    keep[np.concatenate([firsts, lasts, by_height[firsts], by_height[lasts]])] = True
+    return np.flatnonzero(keep)
 
 
 def line_plot(
@@ -210,7 +217,7 @@ def line_plot(
             canvas.add(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             canvas.add(
                 f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
-                f'{escape(str(label))}</text>'
+                f'{_escape(str(label))}</text>'
             )
     canvas.write(path)
 

@@ -364,7 +364,8 @@ def test_worker_pool_matches_serial(tmp_path, command, settings):
         assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes(), path.name
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize", "scipy",
+                                    "urllib.request", "concurrent.futures.process"])
 def test_cli_import_leaves_out(module):
     code = f"import sys, qusync.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(qusync.__file__).parents[1]))

@@ -209,6 +209,50 @@ def test_evolve_propagator_consistency():
                   - expm(liou * 10.0)).max() < 1e-9
 
 
+def random_generator(rng, channel):
+    return lb.build_liouvillian(lb.ModelParams(
+        delta=rng.uniform(-5, 5), tau=rng.uniform(-5, 5), j_xy=rng.uniform(-5, 5),
+        gamma=10 ** rng.uniform(-3, np.log10(5)), xi=rng.uniform(-1, 1), channel=channel))
+
+
+@pytest.mark.parametrize("t, bound", [(0.01, 6e-15), (1.0, 4e-14), (100.0, 2e-12),
+                                      (4000.0, 1e-10)])
+def test_expm_matches_scipy_on_random_generators(t, bound):
+    rng = np.random.default_rng(2005)
+    worst = 0.0
+    for k in range(100):
+        liou = random_generator(rng, list(lb.Channel)[k % 4]) * t
+        worst = max(worst, np.abs(lb._expm(liou) - expm(liou)).max())
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("row, scale, degree", [
+    (0, 1 - 1e-9, 3), (0, 1 + 1e-9, 5), (1, 1 - 1e-9, 5), (1, 1 + 1e-9, 7),
+    (2, 1 - 1e-9, 7), (2, 1 + 1e-9, 9), (3, 1 - 1e-9, 9), (3, 1 + 1e-9, 13),
+    (4, 1 - 1e-9, 13), (4, 1 + 1e-9, 13), (4, 60.0, 13)])
+def test_expm_reaches_each_pade_degree(row, scale, degree, monkeypatch):
+    # a 1-norm just under theta_m takes degree m and just above it the next
+    # degree; above theta_13, degree 13 on a matrix scaled down by squarings
+    theta = lb._PADE[row][0]
+    liou = random_generator(np.random.default_rng(degree), lb.Channel.X)
+    liou = liou * (scale * theta / np.abs(liou).sum(axis=0).max())
+    sums, tensordot = [], np.tensordot
+
+    def counting_tensordot(coefficients, *args):
+        sums.append(len(coefficients))
+        return tensordot(coefficients, *args)
+
+    monkeypatch.setattr(np, "tensordot", counting_tensordot)
+    got = lb._expm(liou)
+    monkeypatch.undo()
+    assert sums == [(degree + 1) // 2] * 2  # the odd and the even coefficients
+    assert np.abs(got - expm(liou)).max() <= 1e-12
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(lb._expm(np.zeros((16, 16), dtype=complex)), np.eye(16))
+
+
 def test_evolve_matches_rk4():
     p = lb.ModelParams(xi=0.4, gamma=0.1)
     rho0 = ket_density("10")

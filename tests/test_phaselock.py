@@ -38,6 +38,22 @@ def test_analytic_signal_known_frequency():
     assert slope == pytest.approx(2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("n", [4999, 5000])
+def test_analytic_signal_matches_scipy_fft(n):
+    from scipy.fft import fft, ifft
+
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 0.01
+    x = np.sin(1.3 * t) + 0.3 * np.cos(2.1 * t) + 0.1 * rng.standard_normal(n)
+    spec = fft(x - x.mean())
+    spec[1:(n + 1) // 2] *= 2.0
+    spec[n // 2 + 1:] = 0.0
+    z = ifft(spec)
+    got = pl.analytic_signal(pl.TimeSeries(t, x))
+    assert np.abs(got.amplitude - np.abs(z)).max() <= 1e-12
+    assert np.abs(got.phase - np.unwrap(np.angle(z))).max() <= 1e-12
+
+
 def test_analytic_signal_constant_rejected():
     t = np.arange(0.0, 1.0, 0.01)
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -72,3 +73,8 @@ def test_sparse_line_plot_bytes_unchanged(tmp_path):
         path = tmp_path / "plot.svg"
         svgplot.line_plot(path, **kwargs)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_escape_matches_saxutils():
+    for text in ['&<>"\'', "<sz1>", "a && b <= c > d", "&amp;", "plain", ""]:
+        assert svgplot._escape(text) == escape(text)
