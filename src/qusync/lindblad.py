@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    DimensionError,
     ValidationError,
     check_density_matrix,
     kron,
@@ -37,9 +36,6 @@ __all__ = [
     "build_hamiltonian",
     "site_operators",
     "build_collapse_ops",
-    "dissipator_apply",
-    "cross_dissipator_apply",
-    "master_equation_rhs",
     "vectorize",
     "unvectorize",
     "dissipator_superoperator",
@@ -190,42 +186,6 @@ def build_collapse_ops(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return c_sym, c_asym
 
 
-def dissipator_apply(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[c](rho) = c rho c+ - (c+ c rho + rho c+ c)/2; traceless output."""
-    c = np.asarray(c, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if c.shape != rho.shape:
-        raise DimensionError(f"operator {c.shape} does not match state {rho.shape}")
-    cdc = c.conj().T @ c
-    return c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
-
-
-def cross_dissipator_apply(p: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """Cross-site dissipator D12; enters the generator with weight xi.
-
-    D12(rho) = gamma [s1 rho s2+ + s2 rho s1+ - {s1+ s2 + s2+ s1, rho}/2].
-    """
-    rho = np.asarray(rho, dtype=complex)
-    s1, s2 = site_operators(p)
-    if rho.shape != s1.shape:
-        raise DimensionError(f"state shape {rho.shape}, expected {s1.shape}")
-    anti = s1.conj().T @ s2 + s2.conj().T @ s1
-    return p.gamma * (
-        s1 @ rho @ s2.conj().T
-        + s2 @ rho @ s1.conj().T
-        - 0.5 * (anti @ rho + rho @ anti)
-    )
-
-
-def master_equation_rhs(p: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """Direct evaluation of d rho/dt = -i[H, rho] + D_S(rho) + D_A(rho)."""
-    h = build_hamiltonian(p)
-    c_sym, c_asym = build_collapse_ops(p)
-    out = -1j * (h @ rho - rho @ h)
-    out = out + dissipator_apply(c_sym, rho) + dissipator_apply(c_asym, rho)
-    return out
-
-
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A rho B) = (B^T kron A) vec(rho)."""
     return np.asarray(rho, dtype=complex).flatten(order="F")
@@ -323,22 +283,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def evolve(
-    p: ModelParams,
-    rho0: np.ndarray,
-    t_final: float,
-    dt: float,
-    method: str = "expm",
-) -> EvolutionResult:
+def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> EvolutionResult:
     """Propagate rho0 on a uniform grid, recording states and observables.
 
-    The default path applies the one-step propagator P = exp(L dt), which is
-    exact for the time-independent generator.  P is computed once by scaling
-    and squaring with a Padé approximant (Higham, SIAM J. Matrix Anal. Appl.
-    26, 1179 (2005)).  It precomputes P^1..P^BLOCK and fills each block of
+    Each step applies the one-step propagator P = exp(L dt), which is exact
+    for the time-independent generator.  P is computed once by scaling and
+    squaring with a Padé approximant (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)).  It precomputes P^1..P^BLOCK and fills each block of
     ``BLOCK`` states with one stacked product from the state before the
-    block.  ``method="rk4"`` is a fixed-step fourth-order Runge-Kutta
-    alternative kept for cross-validation.
+    block.
 
     Every recorded state is checked against the density-matrix invariants at
     tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
@@ -355,26 +308,15 @@ def evolve(
     vecs = np.empty((n_steps + 1, 16), dtype=complex)
     v = vectorize(rho0)
     vecs[0] = v
-    if method == "expm":
-        # powers[j] = P^(j+1) for the one-step propagator P = exp(L dt)
-        powers = np.empty((BLOCK, 16, 16), dtype=complex)
-        powers[0] = _expm(lm * dt)
-        for j in range(1, BLOCK):
-            powers[j] = powers[0] @ powers[j - 1]
-        for start in range(0, n_steps, BLOCK):
-            rows = vecs[start + 1:start + 1 + BLOCK]
-            rows[:] = powers[:len(rows)] @ v
-            v = rows[-1]
-    elif method == "rk4":
-        for k in range(1, n_steps + 1):
-            k1 = lm @ v
-            k2 = lm @ (v + 0.5 * dt * k1)
-            k3 = lm @ (v + 0.5 * dt * k2)
-            k4 = lm @ (v + dt * k3)
-            v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            vecs[k] = v
-    else:
-        raise ValidationError(f"unknown propagation method {method!r}")
+    # powers[j] = P^(j+1) for the one-step propagator P = exp(L dt)
+    powers = np.empty((BLOCK, 16, 16), dtype=complex)
+    powers[0] = _expm(lm * dt)
+    for j in range(1, BLOCK):
+        powers[j] = powers[0] @ powers[j - 1]
+    for start in range(0, n_steps, BLOCK):
+        rows = vecs[start + 1:start + 1 + BLOCK]
+        rows[:] = powers[:len(rows)] @ v
+        v = rows[-1]
 
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
     _validate_trajectory(states, STATE_ATOL)

@@ -18,23 +18,17 @@ __all__ = [
     "DimensionError",
     "pauli",
     "kron",
-    "commutator",
     "basis_ket",
     "partial_trace",
-    "eig_hermitian",
     "clamp_spectrum",
     "check_density_matrix",
     "write_csv",
     "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 # Round-off eigenvalues in [-EIG_CLAMP, 0) are treated as exact zeros;
 # anything more negative is a genuine positivity violation.
 EIG_CLAMP = 1e-10
-
-# Largest deviation from Hermiticity that eig_hermitian accepts (max norm).
-EIGH_HERM_ATOL = 1e-8
 
 
 class ValidationError(ValueError):
@@ -78,10 +72,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def basis_ket(label: str) -> np.ndarray:
     """Computational-basis ket from a bit string, e.g. ``"10"`` -> |1 0>."""
     if not label or any(c not in "01" for c in label):
@@ -118,22 +108,6 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     if side == "B":
         return np.einsum("abad->bd", r)
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns ``(w, v)`` with ``m @ v = v @ diag(w)``.  Raises
-    :class:`ValidationError` if ``m`` deviates from Hermiticity by more than
-    ``EIGH_HERM_ATOL`` in max norm.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > EIGH_HERM_ATOL:
-        raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigh(m)
 
 
 def clamp_spectrum(w: np.ndarray, atol: float = EIG_CLAMP) -> np.ndarray:
@@ -333,15 +307,3 @@ def write_csv(path, header, columns) -> None:
 def save_matrix_csv(path, m: np.ndarray) -> None:
     """Write a complex matrix as CSV, one matrix row per line, no header."""
     write_csv(path, None, np.asarray(m, dtype=complex).T)
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [
-            [complex(cell) for cell in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    if not rows:
-        raise ValidationError(f"{path} contains no matrix rows")
-    return np.array(rows, dtype=complex)

@@ -1,9 +1,9 @@
 """Quantum-information measures on two-qubit states.
 
-Entropies, mutual information, measurement-conditioned entropy, quantum
-discord minimized over two-element orthogonal measurements on qubit B, the
-diagonal-truncation classical mutual information, the quantumness upper bound
-on the discord built from it, and fixed-rank random density matrices.
+Entropies, mutual information, quantum discord minimized over two-element
+orthogonal measurements on qubit B, the diagonal-truncation classical mutual
+information, the quantumness upper bound on the discord built from it, and
+fixed-rank random density matrices.
 
 Discord is computed in correlation-matrix form: with
 rho = sum R[mu, nu] sigma_mu x sigma_nu / 4, measuring B along the Bloch
@@ -12,9 +12,8 @@ direction n leaves A with probability (1 +- b.n)/2 in the Bloch vector
 real numbers a, b and T.  A two-outcome measurement along n is the same as
 along -n, so its grid covers only the hemisphere theta <= pi/2, and an
 in-house compass search over the same closed form refines the grid's best
-direction.
-:class:`MeasurementBasis`, :func:`measure_on_b` and
-:func:`conditional_entropy` keep the explicit projector path.
+direction.  No projector is built; :class:`MeasurementBasis` only names
+the measurement that :func:`discord_min` reports.
 
 Entropies default to bits, so a maximally entangled pure state has discord 1;
 nats are selectable everywhere through :class:`EntropyUnit`.
@@ -45,9 +44,6 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "mutual_information",
-    "measure_on_b",
-    "conditional_entropy",
-    "classical_correlation",
     "discord_min",
     "classical_mutual_information",
     "degree_of_quantumness",
@@ -143,15 +139,6 @@ class MeasurementBasis:
         if not (0.0 <= self.phi < 2.0 * math.pi):
             raise ValidationError(f"phi must be in [0, 2 pi), got {self.phi}")
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        n_dot = (
-            math.sin(self.theta) * math.cos(self.phi) * pauli("x")
-            + math.sin(self.theta) * math.sin(self.phi) * pauli("y")
-            + math.cos(self.theta) * pauli("z")
-        )
-        plus = (pauli("id") + n_dot) / 2.0
-        return plus, pauli("id") - plus
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -166,51 +153,6 @@ def _require_two_qubits(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (4, 4):
         raise DimensionError(f"two-qubit state required, got shape {rho.shape}")
     return rho
-
-
-def measure_on_b(
-    rho_ab: np.ndarray, basis: MeasurementBasis
-) -> list[tuple[float, np.ndarray]]:
-    """Projective measurement on qubit B: outcome probabilities and the
-    conditional states of qubit A.
-
-    Outcomes with probability below 1e-12 are dropped; they contribute
-    nothing to the conditional entropy.
-    """
-    rho_ab = _require_two_qubits(rho_ab)
-    eye = pauli("id")
-    outcomes = []
-    for proj in basis.projectors():
-        big = np.kron(eye, proj)
-        post = big @ rho_ab @ big.conj().T
-        p = post.trace().real
-        if p < PROB_FLOOR:
-            continue
-        outcomes.append((float(p), partial_trace(post / p, (2, 2), "A")))
-    return outcomes
-
-
-def conditional_entropy(
-    rho_ab: np.ndarray,
-    basis: MeasurementBasis,
-    unit: EntropyUnit = EntropyUnit.BITS,
-) -> float:
-    """sum_k p_k S(rho_A|k) for the given measurement on B."""
-    total = 0.0
-    for p, rho_cond in measure_on_b(rho_ab, basis):
-        total += p * _entropy_nats(np.linalg.eigvalsh(rho_cond))
-    return total * unit.per_nat
-
-
-def classical_correlation(
-    rho_ab: np.ndarray,
-    basis: MeasurementBasis,
-    unit: EntropyUnit = EntropyUnit.BITS,
-) -> float:
-    """J = S(A) - S(A | measurement on B): information gained about A."""
-    rho_ab = _require_two_qubits(rho_ab)
-    s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
-    return s_a * unit.per_nat - conditional_entropy(rho_ab, basis, unit)
 
 
 # sigma_0 = I and sigma_1..3 = x, y, z: the basis of the correlation matrix.

@@ -1,13 +1,23 @@
 """Independent reference computations used to cross-check the package.
 
-Everything here deliberately avoids the library's own code paths: partial
-traces are explicit index sums, the discord oracle scans a dense measurement
-grid with full 4x4 projector algebra and eigvalsh spectra, the 3-outcome POVM
-oracle builds its Bloch vectors from explicit traces, and statistical
-standard errors come from batch means.
+Everything here deliberately avoids the library's own code paths, and no
+``qusync`` module is imported (a test parses this file to hold that):
+
+* the master equation in direct form, rebuilt from the Pauli matrices below,
+  with its dissipators, the cross-site term and an RK4 integrator;
+* one projector path for measurements on qubit B, which both the
+  single-basis functions and the dense-grid discord scan use;
+* the exact rank-2 discord of Koashi & Winter with Wootters' concurrence;
+* partial traces as explicit index sums, the 3-outcome POVM oracle with
+  Bloch vectors from explicit traces, and batch-means standard errors.
+
+Model parameters ``p`` are read by attribute (``delta``, ``tau``, ``j_xy``,
+``gamma``, ``xi`` and ``channel``, whose ``value`` names the local operator).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -15,6 +25,75 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|, raises |0> -> |1>
+SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+CHANNEL_OPS = {"raise": SP, "lower": SM, "x": SX, "z": SZ}
+
+
+def site_operators(p):
+    """The channel operator on qubit 1 and on qubit 2."""
+    op = CHANNEL_OPS[p.channel.value]
+    return np.kron(op, I2), np.kron(I2, op)
+
+
+def hamiltonian(p) -> np.ndarray:
+    """delta/2 (sz1 + sz2) + tau/2 (sx1 + sx2) + j_xy (s1+ s2- + s1- s2+)."""
+    return (p.delta / 2.0 * (np.kron(SZ, I2) + np.kron(I2, SZ))
+            + p.tau / 2.0 * (np.kron(SX, I2) + np.kron(I2, SX))
+            + p.j_xy * (np.kron(SP, SM) + np.kron(SM, SP)))
+
+
+def collapse_ops(p):
+    """c_S = sqrt(gamma (1+xi)/2) (s1 + s2) and c_A = sqrt(gamma (1-xi)/2) (s1 - s2)."""
+    s1, s2 = site_operators(p)
+    return (np.sqrt(p.gamma * (1.0 + p.xi) / 2.0) * (s1 + s2),
+            np.sqrt(p.gamma * (1.0 - p.xi) / 2.0) * (s1 - s2))
+
+
+def dissipator_apply(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D[c](rho) = c rho c+ - (c+ c rho + rho c+ c)/2."""
+    c = np.asarray(c, dtype=complex)
+    cdc = c.conj().T @ c
+    return c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
+
+
+def cross_dissipator_apply(p, rho: np.ndarray) -> np.ndarray:
+    """Cross-site dissipator D12, which enters the generator with weight xi:
+    gamma [s1 rho s2+ + s2 rho s1+ - {s1+ s2 + s2+ s1, rho}/2]."""
+    rho = np.asarray(rho, dtype=complex)
+    s1, s2 = site_operators(p)
+    anti = s1.conj().T @ s2 + s2.conj().T @ s1
+    return p.gamma * (
+        s1 @ rho @ s2.conj().T
+        + s2 @ rho @ s1.conj().T
+        - 0.5 * (anti @ rho + rho @ anti)
+    )
+
+
+def _rhs(h, collapse, rho):
+    out = -1j * (h @ rho - rho @ h)
+    for c in collapse:
+        out = out + dissipator_apply(c, rho)
+    return out
+
+
+def master_equation_rhs(p, rho: np.ndarray) -> np.ndarray:
+    """d rho/dt = -i[H, rho] + D[c_S](rho) + D[c_A](rho), in direct form."""
+    return _rhs(hamiltonian(p), collapse_ops(p), np.asarray(rho, dtype=complex))
+
+
+def rk4_final_state(p, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
+    """The state at t_final from fixed-step fourth-order Runge-Kutta on
+    :func:`master_equation_rhs`."""
+    h, collapse = hamiltonian(p), collapse_ops(p)
+    rho = np.asarray(rho0, dtype=complex)
+    for _ in range(int(round(t_final / dt))):
+        k1 = _rhs(h, collapse, rho)
+        k2 = _rhs(h, collapse, rho + 0.5 * dt * k1)
+        k3 = _rhs(h, collapse, rho + 0.5 * dt * k2)
+        k4 = _rhs(h, collapse, rho + dt * k3)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def loop_partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:
@@ -47,43 +126,116 @@ def bell_state() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def projectors(theta, phi):
+    """(I + n.sigma)/2 and (I - n.sigma)/2 for n = (sin th cos ph,
+    sin th sin ph, cos th); array angles give (..., 2, 2) stacks."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    nx = (np.sin(theta) * np.cos(phi))[..., None, None]
+    ny = (np.sin(theta) * np.sin(phi))[..., None, None]
+    nz = np.cos(theta)[..., None, None]
+    plus = 0.5 * (I2 + nx * SX + ny * SY + nz * SZ)
+    return plus, I2 - plus
+
+
+def conditioned_a(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """tr_B[(I x P) rho (I x P)] for projectors P of shape (..., 2, 2): A's
+    state after outcome P, times its probability.
+
+    With P^2 = P the sandwich reduces to sum_bd rho[ab, cd] P[d, b].
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    # rows (a, c), columns (d, b): one product over every projector
+    m = r.transpose(0, 2, 3, 1).reshape(4, 4)
+    return (proj.reshape(-1, 4) @ m.T).reshape(proj.shape)
+
+
+def _spectrum_2x2(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Hermitian 2x2 matrices (..., 2, 2), in closed form."""
+    mean = (m[..., 0, 0].real + m[..., 1, 1].real) / 2.0
+    radius = np.hypot((m[..., 0, 0].real - m[..., 1, 1].real) / 2.0, np.abs(m[..., 0, 1]))
+    return np.stack([mean - radius, mean + radius], axis=-1)
+
+
+def measure_on_b(rho: np.ndarray, theta: float, phi: float):
+    """Projective measurement of qubit B along (theta, phi): a list of the
+    outcome probabilities and A's conditional states, without outcomes below
+    probability 1e-12."""
+    outcomes = []
+    for proj in projectors(theta, phi):
+        cond = conditioned_a(rho, proj)
+        p = cond.trace().real
+        if p >= 1e-12:
+            outcomes.append((float(p), cond / p))
+    return outcomes
+
+
+def conditional_entropy(rho: np.ndarray, theta: float, phi: float) -> float:
+    """sum_k p_k S(rho_A|k) in bits for the measurement along (theta, phi)."""
+    return sum(p * entropy_bits(np.linalg.eigvalsh(cond))
+               for p, cond in measure_on_b(rho, theta, phi))
+
+
+def classical_correlation(rho: np.ndarray, theta: float, phi: float) -> float:
+    """J = S(A) - S(A | measurement of B along (theta, phi)), in bits."""
+    s_a = entropy_bits(np.linalg.eigvalsh(loop_partial_trace(rho, (2, 2), "A")))
+    return s_a - conditional_entropy(rho, theta, phi)
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_projectors(n_theta: int, n_phi: int) -> np.ndarray:
+    thetas = np.linspace(0.0, np.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    plus, _ = projectors(*np.meshgrid(thetas, phis, indexing="ij"))
+    plus.setflags(write=False)
+    return plus
+
+
 def dense_grid_discord(rho: np.ndarray, n_theta: int = 256, n_phi: int = 512) -> float:
     """Discord (bits) from a brute-force dense grid of orthogonal measurements.
 
-    For every Bloch direction the full post-measurement 4x4 states are formed
-    with explicit projector sandwiches, reduced by index contraction, and fed
-    to eigvalsh; the two-element measurement pairs each direction with its
-    antipode.
+    For every Bloch direction A's conditional state comes from the explicit
+    projector (:func:`conditioned_a`), and its spectrum from the 2x2 closed
+    form; the two-element measurement pairs each direction with its antipode.
     """
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    nx = (np.sin(tt) * np.cos(pp)).ravel()
-    ny = (np.sin(tt) * np.sin(pp)).ravel()
-    nz = np.cos(tt).ravel()
-    proj = 0.5 * (I2[None, :, :] + nx[:, None, None] * SX
-                  + ny[:, None, None] * SY + nz[:, None, None] * SZ)
-    big = np.einsum("ij,nkl->nikjl", I2, proj).reshape(-1, 4, 4)
-    post = big @ rho[None, :, :] @ big
-    p = np.einsum("naa->n", post).real
-    cond = np.einsum("nabcb->nac", post.reshape(-1, 2, 2, 2, 2))
+    cond = conditioned_a(rho, _grid_projectors(n_theta, n_phi))
+    p = cond[..., 0, 0].real + cond[..., 1, 1].real
     live = p > 1e-12
-    weighted = np.zeros(p.shape)
-    lam = np.linalg.eigvalsh(cond[live] / p[live, None, None])
-    lam = np.clip(lam, 0.0, None)
+    lam = np.clip(_spectrum_2x2(cond) / np.where(live, p, 1.0)[..., None], 0.0, None)
     safe = np.where(lam > 1e-14, lam, 1.0)
-    weighted[live] = p[live] * (-(safe * np.log2(safe)).sum(axis=-1))
-    surface = weighted.reshape(n_theta, n_phi)
+    surface = np.where(live, p * -(safe * np.log2(safe)).sum(axis=-1), 0.0)
     # the complementary outcome lives at the antipodal direction
     antipode = np.roll(surface[::-1, :], n_phi // 2, axis=1)
     s_cond = (surface + antipode).min()
-    rho_a = loop_partial_trace(rho, (2, 2), "A")
-    rho_b = loop_partial_trace(rho, (2, 2), "B")
-    mi = (entropy_bits(np.linalg.eigvalsh(rho_a))
-          + entropy_bits(np.linalg.eigvalsh(rho_b))
-          - entropy_bits(np.linalg.eigvalsh(rho)))
-    s_a = entropy_bits(np.linalg.eigvalsh(rho_a))
+    s_a = entropy_bits(np.linalg.eigvalsh(loop_partial_trace(rho, (2, 2), "A")))
+    s_b = entropy_bits(np.linalg.eigvalsh(loop_partial_trace(rho, (2, 2), "B")))
+    mi = s_a + s_b - entropy_bits(np.linalg.eigvalsh(rho))
     return max(mi - (s_a - s_cond), 0.0)
+
+
+def koashi_winter_discord(rho: np.ndarray) -> float:
+    """Exact discord D(A|B) in bits of a state of rank at most 2, with no
+    search: D = S(B) - S(AB) + E_f(rho_AC), where C purifies rho_AB
+    (Koashi & Winter, PRA 69, 022309 (2004)), and E_f of the two-qubit
+    rho_AC is Wootters' closed form (PRL 80, 2245 (1998)).
+
+    This is the minimum over all POVMs on B; on rank-2 states the best
+    two-element orthogonal measurement attains it.  The concurrence is
+    |s1 - s2| for the singular values s of X^T (sy x sy) X, where
+    rho_AC = X X+ with X of size 4x2; it needs no square roots of the two
+    vanishing eigenvalues of rho_AC times its spin flip.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    lam, vecs = np.linalg.eigh(rho)
+    lam, vecs = np.clip(lam[-2:], 0.0, None), vecs[:, -2:]
+    # |Psi> = sum_k sqrt(lam_k) |psi_k>_AB |k>_C, as psi[a, b, k]
+    psi = (vecs * np.sqrt(lam)).reshape(2, 2, 2)
+    x = psi.transpose(0, 2, 1).reshape(4, 2)  # rows (a, k), columns b
+    s = np.linalg.svd(x.T @ np.kron(SY, SY) @ x, compute_uv=False)
+    conc = min(s[0] - s[1], 1.0)  # s is sorted descending
+    root = np.sqrt(1.0 - conc**2)
+    e_f = entropy_bits(np.array([1.0 + root, 1.0 - root]) / 2.0)
+    s_b = entropy_bits(np.linalg.eigvalsh(loop_partial_trace(rho, (2, 2), "B")))
+    return s_b - entropy_bits(lam) + e_f
 
 
 def bell_diagonal_discord(c) -> float:
@@ -149,6 +301,16 @@ def povm3_conditional_entropy(corr, weights: np.ndarray, dirs: np.ndarray) -> np
     safe = np.where(lam > 0.0, lam, 1.0)
     entropy = -(safe * np.log(safe)).sum(axis=-1)
     return np.where(live, p * entropy, 0.0).sum(axis=-1)
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """A complex matrix from CSV, one matrix row per line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [[complex(cell) for cell in line.strip().split(",")]
+                for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path} contains no matrix rows")
+    return np.array(rows, dtype=complex)
 
 
 def batch_sem(samples: np.ndarray, n_batches: int = 100) -> tuple[float, float]:

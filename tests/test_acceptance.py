@@ -26,7 +26,9 @@ from tests.oracles import (
     batch_sem,
     bell_diagonal_discord,
     bell_state,
+    cross_dissipator_apply,
     dense_grid_discord,
+    koashi_winter_discord,
 )
 
 RHO0 = np.outer(basis_ket("10"), basis_ket("10").conj())
@@ -106,7 +108,7 @@ def test_c2_dissipator_decomposition_identity():
             unit = np.zeros(16, dtype=complex)
             unit[col] = 1.0
             cross[:, col] = lb.vectorize(
-                lb.cross_dissipator_apply(p, lb.unvectorize(unit)))
+                cross_dissipator_apply(p, lb.unvectorize(unit)))
         worst = max(worst, float(np.linalg.norm(left - (right + xi * cross))))
     elapsed = time.perf_counter() - start
     print(f"[criterion 2] worst Frobenius discrepancy {worst:.3e} ({elapsed:.2f}s)")
@@ -219,6 +221,18 @@ def test_discord_bell_diagonal_exact(c):
     including triples whose largest |c_i| is shared by two or three axes."""
     rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, (SX, SY, SZ)))) / 4.0
     assert abs(qinfo.discord_min(rho).discord - bell_diagonal_discord(c)) <= 1e-8
+
+
+def test_discord_rank2_koashi_winter(rank2_discords):
+    """Exactness beside criterion 6, with no search in the oracle: discord
+    within 1e-9 of the Koashi-Winter/Wootters closed form on the 1000 rank-2
+    states."""
+    states, discords = rank2_discords
+    worst = max(abs(mine - koashi_winter_discord(rho))
+                for rho, mine in zip(states, discords))
+    print(f"[discord vs Koashi-Winter] worst difference {worst:.2e} over "
+          f"{len(states)} rank-2 states")
+    assert worst <= 1e-9
 
 
 def test_c7_discord_distribution(rank2_discords):

@@ -25,6 +25,7 @@ from qusync.experiments import (
 )
 from qusync.lindblad import Channel, ModelParams
 from qusync.qinfo import EntropyUnit
+from tests.oracles import load_matrix_csv
 
 SMALL_SYNC = """
 [model]
@@ -395,8 +396,6 @@ def test_benchmark_tracer_binds_to_the_program():
 
 
 def test_info_sweep_save_states(tmp_path):
-    from qusync.operators import load_matrix_csv
-
     cfg = ExperimentConfig(
         xi_values=(0.2,), gamma_values=(0.3,), jxy_values=(0.25,),
         out_dir=str(tmp_path / "st"), save_states=True,
@@ -412,7 +411,6 @@ def test_info_sweep_degenerate_row_is_fixed_point(tmp_path):
     # the slowest-relaxing degenerate point of the default grid: propagating
     # for the default t_relax = 4000 leaves ||L rho|| at 5e-4 there
     from qusync.lindblad import build_liouvillian, vectorize
-    from qusync.operators import load_matrix_csv
 
     cfg = ExperimentConfig(
         xi_values=(1.0,), gamma_values=(0.01,), jxy_values=(-1.0,),

