@@ -169,8 +169,8 @@ def _info_point(args):
         raise NumericalFailure(
             f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
             f"j_xy={j_xy:+.3f}: {exc}") from exc
-    mi = qinfo.mutual_information(rho_ss, (2, 2), cfg.unit)
-    mi_classical = qinfo.classical_mutual_information(rho_ss, (2, 2), cfg.unit)
+    mi = qinfo.mutual_information(rho_ss, cfg.unit)
+    mi_classical = qinfo.classical_mutual_information(rho_ss, cfg.unit)
     return {
         "xi": float(xi), "gamma": float(gamma), "jxy": float(j_xy),
         "mutual_info": mi, "classical_mutual_info": mi_classical,
@@ -247,7 +247,7 @@ def _discord_point(args):
     purity = float(np.trace(rho @ rho).real)
     result = qinfo.discord_min(rho, cfg.unit)
     # degree of quantumness, reusing the I(A:B) that discord_min computed
-    dq = result.mutual_information - qinfo.classical_mutual_information(rho, (2, 2), cfg.unit)
+    dq = result.mutual_information - qinfo.classical_mutual_information(rho, cfg.unit)
     return (state_seed, rank, purity, result.mutual_information, result.discord,
             result.classical_correlation, dq,
             result.optimal_basis.theta, result.optimal_basis.phi)

@@ -23,6 +23,7 @@ from .operators import (
     check_density_matrix,
     kron,
     pauli,
+    require_finite,
     write_csv,
 )
 
@@ -141,6 +142,8 @@ class ModelParams:
     channel: Channel = Channel.RAISE
 
     def __post_init__(self):
+        require_finite(delta=self.delta, tau=self.tau, j_xy=self.j_xy, gamma=self.gamma,
+                       xi=self.xi)
         if self.gamma < 0.0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
         if abs(self.xi) > 1.0:
@@ -223,43 +226,6 @@ def build_liouvillian(p: ModelParams) -> np.ndarray:
     return mat
 
 
-def _validate_trajectory(states: np.ndarray, atol: float) -> None:
-    """Check every recorded state; report the first offending step."""
-    # Tested as ~(dev <= atol), so that a NaN or inf entry fails hermiticity
-    # and only finite states reach the Cholesky test.  Entry (j, i) deviates
-    # exactly as much as (i, j), so the upper triangle holds every deviation.
-    herm = np.zeros(len(states))
-    for i, j in zip(*np.triu_indices(states.shape[-1])):
-        np.maximum(herm, np.abs(states[:, j, i] - states[:, i, j].conj()), out=herm)
-    bad = ~(herm <= atol)
-    if bad.any():
-        step = int(np.argmax(bad))
-        raise PropagationError(
-            f"hermiticity violated at step {step}: deviation {herm[step]:.3e}"
-        )
-    trace = np.abs(np.einsum("nii->n", states) - 1.0)
-    bad = ~(trace <= atol)
-    if bad.any():
-        step = int(np.argmax(bad))
-        raise PropagationError(
-            f"unit trace violated at step {step}: deviation {trace[step]:.3e}"
-        )
-    # rho + atol*I has a Cholesky factor exactly when no eigenvalue of rho is
-    # below -atol; only a failed factorization pays for the spectra that name
-    # the step and the value.
-    try:
-        np.linalg.cholesky(states + atol * np.eye(states.shape[-1]))
-        return
-    except np.linalg.LinAlgError:
-        pass
-    eigmin = np.linalg.eigvalsh(states).min(axis=1)
-    if eigmin.min() < -atol:
-        step = int(np.argmin(eigmin))
-        raise PropagationError(
-            f"positivity violated at step {step}: min eigenvalue {eigmin[step]:.3e}"
-        )
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring (Higham 2005, Algorithm 2.3).
 
@@ -293,11 +259,12 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     ``BLOCK`` states with one stacked product from the state before the
     block.
 
-    Every recorded state is checked against the density-matrix invariants at
-    tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
-    naming the step and the invariant.  The observables are the Pauli
-    expectations ``s{x,y,z}{1,2}`` and the purity.
+    The recorded states are checked as one stack by ``check_density_matrix``
+    at tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
+    naming the first offending step, e.g. ``step 7 is not Hermitian (max
+    deviation nan)``.  The observables are ``s{x,y,z}{1,2}`` and the purity.
     """
+    require_finite(dt=dt, t_final=t_final)
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t_final < dt:
@@ -319,7 +286,11 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
         v = rows[-1]
 
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
-    _validate_trajectory(states, STATE_ATOL)
+    try:
+        check_density_matrix(states, herm_atol=STATE_ATOL, trace_atol=STATE_ATOL,
+                             eig_atol=STATE_ATOL, name="step")
+    except ValidationError as exc:
+        raise PropagationError(str(exc)) from exc
 
     # einsum, not @: a product this size would wake a second BLAS thread
     paulis = np.einsum("nk,qk->qn", vecs, _PAULI_WEIGHTS).real

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ValidationError, write_csv
+from .operators import ValidationError, require_finite, write_csv
 
 __all__ = [
     "OUParams",
@@ -41,6 +41,7 @@ class OUParams:
     def __post_init__(self):
         if len(self.a) != 2 or len(self.b) != 2:
             raise ValidationError("a and b must each hold two diagonal entries")
+        require_finite(a=self.a, b=self.b, xi=self.xi)
         if min(self.a) <= 0.0:
             raise ValidationError(f"relaxation rates must be positive, got {self.a}")
         if min(self.b) < 0.0:

@@ -11,6 +11,8 @@ Conventions, fixed once and used everywhere in the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "basis_ket",
     "partial_trace",
     "clamp_spectrum",
+    "require_finite",
     "check_density_matrix",
     "write_csv",
     "save_matrix_csv",
@@ -110,12 +113,21 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def clamp_spectrum(w: np.ndarray, atol: float = EIG_CLAMP) -> np.ndarray:
+def clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out round-off negatives in a spectrum; reject genuine ones."""
     w = np.asarray(w, dtype=float)
-    if w.min(initial=0.0) < -atol:
+    if w.min(initial=0.0) < -EIG_CLAMP:
         raise ValidationError(f"spectrum has negative eigenvalue {w.min():.3e}")
     return np.where(w < 0.0, 0.0, w)
+
+
+def require_finite(**values) -> None:
+    """Raise :class:`ValidationError` naming the first argument, a number or
+    an array, that holds a NaN or an infinity."""
+    for name, value in values.items():
+        scalar = isinstance(value, (int, float))
+        if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
+            raise ValidationError(f"{name} must be finite" + (f", got {value}" if scalar else ""))
 
 
 def check_density_matrix(
@@ -126,23 +138,35 @@ def check_density_matrix(
     eig_atol: float = EIG_CLAMP,
     name: str = "rho",
 ) -> np.ndarray:
-    """Validate hermiticity, unit trace, and positivity of a state.
-
-    Returns the input as a complex ndarray; raises :class:`ValidationError`
-    naming the violated invariant otherwise.
+    """Validate hermiticity, unit trace and positivity, in that order, of a
+    (d, d) state or of each state of an (n, d, d) stack; a test passes only
+    at or below its tolerance, so NaN and inf fail.  Positivity reads the
+    lower triangle: a Cholesky factor of rho + eig_atol*I, with spectra only
+    where it fails.  Raises :class:`ValidationError` for the first failing
+    state, named ``"{name} {k}"`` in a stack; returns rho as complex.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-2] != rho.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_atol:
-        raise ValidationError(f"{name} is not Hermitian (max deviation {herm:.3e})")
-    tr = rho.trace()
-    if abs(tr - 1.0) > trace_atol:
-        raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -eig_atol:
-        raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e}")
+    stack = rho.reshape(-1, *rho.shape[-2:])
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    hermitian = herm <= herm_atol  # so only finite states are diagonalized below
+    tr = np.einsum("nii->n", stack)
+    w = np.zeros(len(stack))
+    try:
+        np.linalg.cholesky(stack + eig_atol * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        w[hermitian] = np.linalg.eigvalsh(stack[hermitian]).min(axis=1)
+    tests = [(hermitian, "is not Hermitian (max deviation {:.3e})", herm),
+             (abs(tr - 1.0) <= trace_atol, "has trace {:.12g}, expected 1", tr),
+             (w >= -eig_atol, "has negative eigenvalue {:.3e}", w)]
+    failing = [(int(np.argmin(ok)), i) for i, (ok, _, _) in enumerate(tests) if not ok.all()]
+    if failing:
+        k, i = min(failing)
+        _, message, value = tests[i]
+        who = name if rho.ndim == 2 else f"{name} {k}"
+        raise ValidationError(f"{who} {message.format(value[k])}")
     return rho
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .operators import ValidationError, write_csv
+from .operators import ValidationError, require_finite, write_csv
 
 __all__ = [
     "TimeSeries",
@@ -42,6 +42,7 @@ class TimeSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.times.size != self.values.size:
             raise ValidationError("times and values must have equal length")
+        require_finite(times=self.times, values=self.values)
         if self.times.size < MIN_SAMPLES:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples")
         dt = np.diff(self.times)

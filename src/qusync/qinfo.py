@@ -76,9 +76,17 @@ def _entropy_nats(spectrum: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum())
 
 
+def _require_two_qubits(rho: np.ndarray) -> np.ndarray:
+    if np.shape(rho) != (4, 4):
+        raise DimensionError(f"two-qubit state required, got shape {np.shape(rho)}")
+    return check_density_matrix(rho)
+
+
 def von_neumann_entropy(rho: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
     """-tr(rho log rho); zero for pure states, log d for maximally mixed."""
     rho = check_density_matrix(rho)
+    if rho.ndim != 2:
+        raise DimensionError(f"rho must be one state, got shape {rho.shape}")
     return _entropy_nats(np.linalg.eigvalsh(rho)) * unit.per_nat
 
 
@@ -94,8 +102,8 @@ def relative_entropy(
     """
     rho = check_density_matrix(rho, name="rho")
     sigma = check_density_matrix(sigma, name="sigma")
-    if rho.shape != sigma.shape:
-        raise DimensionError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
+    if rho.shape != sigma.shape or rho.ndim != 2:
+        raise DimensionError(f"need two states of one shape: {rho.shape} vs {sigma.shape}")
     w_r = np.linalg.eigvalsh(rho)
     w_s, v_s = np.linalg.eigh(sigma)
     w_s = clamp_spectrum(w_s)
@@ -107,19 +115,17 @@ def relative_entropy(
     return (cross - _entropy_nats(w_r)) * unit.per_nat
 
 
-def mutual_information(
-    rho_ab: np.ndarray,
-    dims: tuple[int, int] = (2, 2),
-    unit: EntropyUnit = EntropyUnit.BITS,
-) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) >= 0, the total correlation content."""
-    rho_ab = check_density_matrix(rho_ab)
-    if dims[0] < 2 or dims[1] < 2:
-        raise DimensionError(f"bipartite split needs dims >= 2, got {dims}")
-    s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, dims, "A")))
-    s_b = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, dims, "B")))
+def _mutual_information_nats(rho_ab: np.ndarray) -> float:
+    """I(A:B) in nats of a two-qubit state that is already checked."""
+    s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
+    s_b = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "B")))
     s_ab = _entropy_nats(np.linalg.eigvalsh(rho_ab))
-    return (s_a + s_b - s_ab) * unit.per_nat
+    return s_a + s_b - s_ab
+
+
+def mutual_information(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
+    """I(A:B) = S(A) + S(B) - S(AB) >= 0, the total correlation content."""
+    return _mutual_information_nats(_require_two_qubits(rho_ab)) * unit.per_nat
 
 
 @dataclass(frozen=True)
@@ -146,13 +152,6 @@ class DiscordResult:
     classical_correlation: float
     optimal_basis: MeasurementBasis
     mutual_information: float
-
-
-def _require_two_qubits(rho: np.ndarray) -> np.ndarray:
-    rho = check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise DimensionError(f"two-qubit state required, got shape {rho.shape}")
-    return rho
 
 
 # sigma_0 = I and sigma_1..3 = x, y, z: the basis of the correlation matrix.
@@ -271,7 +270,7 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
     basis = MeasurementBasis(*res.x)
 
     s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
-    mi = mutual_information(rho_ab, (2, 2), unit)
+    mi = _mutual_information_nats(rho_ab) * unit.per_nat
     classical = (s_a - res.fun) * unit.per_nat
     return DiscordResult(
         discord=max(mi - classical, 0.0),
@@ -282,26 +281,20 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
 
 
 def classical_mutual_information(
-    rho_ab: np.ndarray,
-    dims: tuple[int, int] = (2, 2),
-    unit: EntropyUnit = EntropyUnit.BITS,
+    rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS
 ) -> float:
     """Mutual information of diag(rho) in the computational product basis.
 
     Dephasing to the diagonal is a local operation, so the result never
     exceeds I(A:B) (up to round-off).  The truncation basis is pinned to the
-    fixed computational product basis.
+    fixed computational product basis.  diag(rho) needs no check of its
+    own: each diagonal entry is at least the smallest eigenvalue of rho.
     """
-    rho_ab = check_density_matrix(rho_ab)
-    diag = np.diag(np.diag(rho_ab))
-    return mutual_information(diag, dims, unit)
+    rho_ab = _require_two_qubits(rho_ab)
+    return _mutual_information_nats(np.diag(np.diag(rho_ab))) * unit.per_nat
 
 
-def degree_of_quantumness(
-    rho_ab: np.ndarray,
-    dims: tuple[int, int] = (2, 2),
-    unit: EntropyUnit = EntropyUnit.BITS,
-) -> float:
+def degree_of_quantumness(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
     """I(A:B) minus the diagonal-truncation mutual information.
 
     A quantumness estimate bounded by [0, I(A:B)] up to round-off, and an
@@ -309,9 +302,9 @@ def degree_of_quantumness(
     keeps no more correlation than measuring B along z, which keeps no more
     than the best measurement, so I_diag <= J(z) <= max J.
     """
-    return mutual_information(rho_ab, dims, unit) - classical_mutual_information(
-        rho_ab, dims, unit
-    )
+    rho_ab = _require_two_qubits(rho_ab)
+    mi = _mutual_information_nats(rho_ab) * unit.per_nat
+    return mi - _mutual_information_nats(np.diag(np.diag(rho_ab))) * unit.per_nat
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:

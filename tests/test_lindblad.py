@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qusync import lindblad as lb
-from qusync.operators import ValidationError, basis_ket, kron, pauli
+from qusync.operators import ValidationError, basis_ket, check_density_matrix, kron, pauli
 from tests.oracles import (
     bell_state,
     cross_dissipator_apply,
@@ -303,6 +303,12 @@ def test_evolve_validation():
         lb.evolve(FIG_PARAMS, np.eye(4), t_final=1.0, dt=0.01)  # trace 4
 
 
+def check_trajectory(states):
+    """The check that evolve runs on its recorded states."""
+    check_density_matrix(states, herm_atol=lb.STATE_ATOL, trace_atol=lb.STATE_ATOL,
+                         eig_atol=lb.STATE_ATOL, name="step")
+
+
 def test_trajectory_positivity_violation_names_step():
     # valid states, except step 7, whose smallest eigenvalue is set in a
     # rotated basis: -1e-6 fails, -5e-9 is within STATE_ATOL and passes
@@ -315,21 +321,18 @@ def test_trajectory_positivity_violation_names_step():
         states[7] = (bad + bad.conj().T) / 2.0
 
     set_step_7(-1e-6)
-    with pytest.raises(lb.PropagationError,
-                       match=r"positivity violated at step 7: min eigenvalue -1\.000e-06"):
-        lb._validate_trajectory(states, lb.STATE_ATOL)
+    with pytest.raises(ValidationError, match=r"step 7 has negative eigenvalue -1\.000e-06"):
+        check_trajectory(states)
     set_step_7(-5e-9)
-    lb._validate_trajectory(states, lb.STATE_ATOL)
+    check_trajectory(states)
     # NaN entries fail the hermiticity test: off the diagonal only, and all
     # of them, as an overflowed propagation leaves it
     states[7, 0, 1] = states[7, 1, 0] = np.nan
-    with pytest.raises(lb.PropagationError,
-                       match=r"hermiticity violated at step 7: deviation nan"):
-        lb._validate_trajectory(states, lb.STATE_ATOL)
+    with pytest.raises(ValidationError, match=r"step 7 is not Hermitian \(max deviation nan\)"):
+        check_trajectory(states)
     states[7] = np.nan
-    with pytest.raises(lb.PropagationError,
-                       match=r"hermiticity violated at step 7: deviation nan"):
-        lb._validate_trajectory(states, lb.STATE_ATOL)
+    with pytest.raises(ValidationError, match=r"step 7 is not Hermitian \(max deviation nan\)"):
+        check_trajectory(states)
 
 
 @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
@@ -339,9 +342,18 @@ def test_trajectory_hermiticity_checked_on_every_entry(entry):
     states = np.stack([random_state(seed) for seed in range(6)])
     states[4][entry] += 3e-6 + 2e-6j
     dev = np.abs(states[4] - states[4].conj().T).max()
+    with pytest.raises(ValidationError,
+                       match=rf"step 4 is not Hermitian \(max deviation {dev:.3e}\)"):
+        check_trajectory(states)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_evolve_overflow_names_the_first_step():
+    # a rate of 1e308 overflows the propagator, so step 1 is already NaN
     with pytest.raises(lb.PropagationError,
-                       match=rf"hermiticity violated at step 4: deviation {dev:.3e}"):
-        lb._validate_trajectory(states, lb.STATE_ATOL)
+                       match=r"^step 1 is not Hermitian \(max deviation nan\)$"):
+        lb.evolve(lb.ModelParams(gamma=1e308), ket_density("10"), t_final=0.1, dt=0.01)
 
 
 def test_steady_state_pure_pumping():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,85 @@ def test_check_density_matrix_rejects_invalid():
     bad = np.diag([1.1, -0.1]).astype(complex)
     with pytest.raises(ops.ValidationError):
         ops.check_density_matrix(bad)  # negative eigenvalue
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_check_density_matrix_rejects_non_finite(entry):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 0] = entry
+    with pytest.raises(ops.ValidationError, match=r"^rho is not Hermitian \(max deviation nan\)$"):
+        ops.check_density_matrix(rho)
+
+
+def test_check_density_matrix_stack_matches_single_states():
+    # valid states, and one state of each failing or marginal kind; every
+    # seeded stack raises exactly when one of its states does, naming the
+    # first such state with that state's own message
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+    def rotated(low):
+        m = q @ np.diag([low, 0.2, 0.3, 0.5 - low]) @ q.conj().T
+        return (m + m.conj().T) / 2.0
+
+    valid = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)]
+    off_trace = valid[2] * (1.0 + 1e-6)
+    non_hermitian = valid[3].copy()
+    non_hermitian[1, 2] += 1e-6
+    pool = valid + [rotated(-1e-6), rotated(-5e-11), off_trace, non_hermitian]
+
+    def single_error(rho):
+        try:
+            ops.check_density_matrix(rho)
+        except ops.ValidationError as exc:
+            return str(exc)
+        return None
+
+    raised = 0
+    for _ in range(60):
+        states = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 7))]
+        errors = [single_error(rho) for rho in states]
+        failing = [k for k, err in enumerate(errors) if err is not None]
+        if not failing:
+            ops.check_density_matrix(np.stack(states))
+            continue
+        raised += 1
+        k = failing[0]
+        want = errors[k].replace("rho", f"rho {k}", 1)
+        with pytest.raises(ops.ValidationError, match=f"^{re.escape(want)}$"):
+            ops.check_density_matrix(np.stack(states))
+    assert 10 <= raised <= 50
+    assert single_error(pool[5]) is None  # -5e-11 is within EIG_CLAMP
+
+
+def _evolve(t_final=1.0, dt=0.01):
+    lindblad.evolve(lindblad.ModelParams(), np.eye(4) / 4, t_final, dt)
+
+
+def _series(times=0.0, values=0.0):
+    """A valid series of 32 samples, with the given numbers added at sample 20."""
+    t = np.arange(32.0)
+    at_20 = t == 20
+    phaselock.TimeSeries(t + np.where(at_20, times, 0.0), np.sin(t) + np.where(at_20, values, 0.0))
+
+
+@pytest.mark.parametrize("field, build", [
+    pytest.param("delta", lambda: lindblad.ModelParams(delta=math.inf), id="ModelParams.delta"),
+    pytest.param("tau", lambda: lindblad.ModelParams(tau=math.nan), id="ModelParams.tau"),
+    pytest.param("j_xy", lambda: lindblad.ModelParams(j_xy=-math.inf), id="ModelParams.j_xy"),
+    pytest.param("gamma", lambda: lindblad.ModelParams(gamma=math.nan), id="ModelParams.gamma"),
+    pytest.param("xi", lambda: lindblad.ModelParams(xi=math.nan), id="ModelParams.xi"),
+    pytest.param("a", lambda: noise.OUParams(a=(math.nan, 1.0)), id="OUParams.a"),
+    pytest.param("b", lambda: noise.OUParams(b=(1.0, math.inf)), id="OUParams.b"),
+    pytest.param("xi", lambda: noise.OUParams(xi=math.nan), id="OUParams.xi"),
+    pytest.param("dt", lambda: _evolve(dt=math.nan), id="evolve.dt"),
+    pytest.param("t_final", lambda: _evolve(t_final=math.inf), id="evolve.t_final"),
+    pytest.param("times", lambda: _series(times=math.nan), id="TimeSeries.times"),
+    pytest.param("values", lambda: _series(values=math.nan), id="TimeSeries.values"),
+])
+def test_library_inputs_reject_non_finite(field, build):
+    with pytest.raises(ops.ValidationError, match=f"^{field} must be finite"):
+        build()
 
 
 def test_basis_ket_labels():

@@ -93,9 +93,30 @@ def test_mutual_information_product_state():
     assert qinfo.mutual_information(product_state(2)) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_mutual_information_rejects_trivial_split():
+@pytest.mark.parametrize("measure", [qinfo.mutual_information,
+                                     qinfo.classical_mutual_information,
+                                     qinfo.degree_of_quantumness])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_two_qubit_measures_reject_other_dimensions(measure, dim):
+    with pytest.raises(DimensionError, match="two-qubit state required"):
+        measure(np.eye(dim, dtype=complex) / dim)
+
+
+@pytest.mark.parametrize("measure", [
+    qinfo.von_neumann_entropy,
+    lambda rho: qinfo.relative_entropy(rho, np.eye(4) / 4),
+    lambda rho: qinfo.relative_entropy(np.eye(4) / 4, rho),
+    qinfo.mutual_information,
+    qinfo.classical_mutual_information,
+    qinfo.degree_of_quantumness,
+    qinfo.discord_min,
+], ids=["von_neumann_entropy", "relative_entropy.rho", "relative_entropy.sigma",
+        "mutual_information", "classical_mutual_information", "degree_of_quantumness",
+        "discord_min"])
+def test_single_state_measures_reject_a_stack(measure):
+    # a stack of valid states passes check_density_matrix, not the measures
     with pytest.raises(DimensionError):
-        qinfo.mutual_information(np.eye(4, dtype=complex) / 4.0, dims=(1, 4))
+        measure(np.stack([np.eye(4, dtype=complex) / 4, bell_state()]))
 
 
 def test_mutual_information_bell():
@@ -356,8 +377,9 @@ def test_degree_of_quantumness_reference_states():
 def test_degree_of_quantumness_bounds_discord_above():
     # I_diag <= J(z) <= max J, so I - I_diag >= I - max J = D
     rng = np.random.default_rng(101)
-    states = [qinfo.random_density_matrix(4, rank, rng)
-              for rank in (1, 2, 3, 4) for _ in range(10)]
+    ranks = (1, 2, 3, 4)
+    states = [(rank, qinfo.random_density_matrix(4, rank, rng))
+              for rank in ranks for _ in range(100)]
     # and the info-sweep states of a small grid, whose xi = +1 points are
     # degenerate and hold the asymptotic state from |1 0>
     cfg = ExperimentConfig().validate()
@@ -365,11 +387,18 @@ def test_degree_of_quantumness_bounds_discord_above():
     for j_xy, xi, gamma in product((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.01, 0.1, 1.0)):
         row = experiments._info_point((cfg, j_xy, xi, gamma))
         flags.append(row["flag"])
-        states.append(row["rho_ss"])
+        states.append((None, row["rho_ss"]))
     assert flags.count("degenerate") == 9
-    for rho in states:
-        assert (qinfo.degree_of_quantumness(rho)
-                >= qinfo.discord_min(rho).discord - 1e-9)
+    gaps = {rank: [] for rank in ranks}
+    for rank, rho in states:
+        bound = qinfo.degree_of_quantumness(rho)
+        discord = qinfo.discord_min(rho).discord
+        assert bound >= discord - 1e-9
+        if rank is not None:
+            gaps[rank].append((bound - discord) / bound)
+    # how far the bound lies above the discord, relative to the bound
+    print("\n[quantumness gap] (I - I_diag - D) / (I - I_diag), median / max: " + ", ".join(
+        f"rank {rank} {np.median(g):.3f} / {np.max(g):.3f}" for rank, g in gaps.items()))
 
 
 def povm_gain(rho, rng, n_samples=4000, n_refine=2):
