@@ -77,14 +77,11 @@ _PADE = tuple((theta, np.array(b, dtype=float)) for theta, b in (
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """Null space of the Liouvillian has dimension > 1; ``candidates`` holds
-    the state of each null vector (see ``_to_state``)."""
+    """Null space of the Liouvillian has ``dimension`` > 1."""
 
-    def __init__(self, candidates: list[np.ndarray]):
-        self.candidates = candidates
-        super().__init__(
-            f"steady state is degenerate: {len(candidates)} null-space candidates"
-        )
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        super().__init__(f"steady state is degenerate: {dimension} null-space candidates")
 
 
 class NoSteadyStateError(RuntimeError):
@@ -217,12 +214,15 @@ def dissipator_superoperator(c: np.ndarray) -> np.ndarray:
 def build_liouvillian(p: ModelParams) -> np.ndarray:
     """Assemble the 16x16 generator from the Hamiltonian and both jump ops.
 
-    The generator acts on column-stacked vectorized states.
+    The generator acts on column-stacked vectorized states.  Finite inputs
+    can overflow it (a rate of 1e308); that raises :class:`ValidationError`
+    naming the generator.
     """
-    h = build_hamiltonian(p)
-    mat = _commutator_superoperator(h)
-    for c in build_collapse_ops(p):
-        mat = mat + dissipator_superoperator(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = _commutator_superoperator(build_hamiltonian(p))
+        for c in build_collapse_ops(p):
+            mat = mat + dissipator_superoperator(c)
+    require_finite(generator=mat)
     return mat
 
 
@@ -260,7 +260,7 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     block.
 
     The recorded states are checked as one stack by ``check_density_matrix``
-    at tolerance ``STATE_ATOL``; a violation raises :class:`PropagationError`
+    at ``atol=STATE_ATOL``; a violation raises :class:`PropagationError`
     naming the first offending step, e.g. ``step 7 is not Hermitian (max
     deviation nan)``.  The observables are ``s{x,y,z}{1,2}`` and the purity.
     """
@@ -287,8 +287,7 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
 
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
     try:
-        check_density_matrix(states, herm_atol=STATE_ATOL, trace_atol=STATE_ATOL,
-                             eig_atol=STATE_ATOL, name="step")
+        check_density_matrix(states, atol=STATE_ATOL, name="step")
     except ValidationError as exc:
         raise PropagationError(str(exc)) from exc
 
@@ -321,30 +320,30 @@ def _to_state(v: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point(mat: np.ndarray, v: np.ndarray, zero: float, name: str) -> np.ndarray:
-    """The state of null vector v, checked as a fixed point and a density matrix."""
+    """The state of null vector v, checked as a fixed point and as a density
+    matrix at the tolerance that every measure of ``qinfo`` applies."""
     rho = _to_state(v)
     residual = np.linalg.norm(mat @ vectorize(rho))
     if residual > zero:
         raise NoSteadyStateError(f"{name} residual {residual:.3e} exceeds {zero:.3e}")
-    return check_density_matrix(rho, herm_atol=1e-9, trace_atol=1e-9, eig_atol=1e-8,
-                                name=name)
+    return check_density_matrix(rho, name=name)
 
 
 def steady_state_from_matrix(mat: np.ndarray) -> np.ndarray:
     """Steady state from the null space of a generator matrix.
 
     A null space of dimension > 1 raises :class:`DegenerateSteadyStateError`
-    carrying all candidates; none, or a residual ``||L rho||`` above the zero
+    carrying that dimension; none, or a residual ``||L rho||`` above the zero
     bound, raises :class:`NoSteadyStateError`.
     """
     right, _, zero = _null_space(mat)
-    # turn the arbitrary phase of each SVD null vector to a positive trace,
-    # so that Hermitizing cannot cancel it
-    trace = right[::math.isqrt(len(mat)) + 1].sum(axis=0)
-    right = right * np.exp(-1j * np.angle(trace))
     if right.shape[1] > 1:
-        raise DegenerateSteadyStateError([_to_state(v) for v in right.T])
-    return _fixed_point(mat, right[:, 0], zero, "rho_ss")
+        raise DegenerateSteadyStateError(right.shape[1])
+    # turn the arbitrary phase of the SVD null vector to a positive trace,
+    # so that Hermitizing cannot cancel it
+    v = right[:, 0]
+    v = v * np.exp(-1j * np.angle(v[::math.isqrt(len(mat)) + 1].sum()))
+    return _fixed_point(mat, v, zero, "rho_ss")
 
 
 def steady_state(p: ModelParams) -> np.ndarray:
@@ -363,9 +362,11 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     With a degenerate steady state the result depends on rho0 through the
     conserved quantities, and it is a fixed point only once t is long
     against the slowest decay; :func:`asymptotic_state` gives the limit.
+    The result is checked as a density matrix, named ``rho_t``.
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    return _to_state(_expm(build_liouvillian(p) * t) @ vectorize(rho0))
+    return check_density_matrix(_to_state(_expm(build_liouvillian(p) * t) @ vectorize(rho0)),
+                                name="rho_t")
 
 
 def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:

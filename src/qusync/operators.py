@@ -22,16 +22,14 @@ __all__ = [
     "kron",
     "basis_ket",
     "partial_trace",
-    "clamp_spectrum",
     "require_finite",
     "check_density_matrix",
     "write_csv",
     "save_matrix_csv",
 ]
 
-# Round-off eigenvalues in [-EIG_CLAMP, 0) are treated as exact zeros;
-# anything more negative is a genuine positivity violation.
-EIG_CLAMP = 1e-10
+# The one tolerance of a density matrix's hermiticity, trace and positivity.
+ATOL = 1e-10
 
 
 class ValidationError(ValueError):
@@ -113,14 +111,6 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def clamp_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out round-off negatives in a spectrum; reject genuine ones."""
-    w = np.asarray(w, dtype=float)
-    if w.min(initial=0.0) < -EIG_CLAMP:
-        raise ValidationError(f"spectrum has negative eigenvalue {w.min():.3e}")
-    return np.where(w < 0.0, 0.0, w)
-
-
 def require_finite(**values) -> None:
     """Raise :class:`ValidationError` naming the first argument, a number or
     an array, that holds a NaN or an infinity."""
@@ -130,20 +120,15 @@ def require_finite(**values) -> None:
             raise ValidationError(f"{name} must be finite" + (f", got {value}" if scalar else ""))
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
-    eig_atol: float = EIG_CLAMP,
-    name: str = "rho",
-) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray, *, atol: float = ATOL,
+                         name: str = "rho") -> np.ndarray:
     """Validate hermiticity, unit trace and positivity, in that order, of a
-    (d, d) state or of each state of an (n, d, d) stack; a test passes only
-    at or below its tolerance, so NaN and inf fail.  Positivity reads the
-    lower triangle: a Cholesky factor of rho + eig_atol*I, with spectra only
-    where it fails.  Raises :class:`ValidationError` for the first failing
-    state, named ``"{name} {k}"`` in a stack; returns rho as complex.
+    (d, d) state or of each state of an (n, d, d) stack, each up to ``atol``;
+    a test passes only at or below it, so NaN and inf fail.  Positivity reads
+    the lower triangle: a Cholesky factor of rho + atol*I, with spectra only
+    where it fails.  This is the package's only positivity rule.  Raises
+    :class:`ValidationError` for the first failing state, named
+    ``"{name} {k}"`` in a stack; returns rho as complex.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2] != rho.shape[-1]:
@@ -151,16 +136,16 @@ def check_density_matrix(
     stack = rho.reshape(-1, *rho.shape[-2:])
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
         herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    hermitian = herm <= herm_atol  # so only finite states are diagonalized below
+    hermitian = herm <= atol  # so only finite states are diagonalized below
     tr = np.einsum("nii->n", stack)
     w = np.zeros(len(stack))
     try:
-        np.linalg.cholesky(stack + eig_atol * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(stack + atol * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         w[hermitian] = np.linalg.eigvalsh(stack[hermitian]).min(axis=1)
     tests = [(hermitian, "is not Hermitian (max deviation {:.3e})", herm),
-             (abs(tr - 1.0) <= trace_atol, "has trace {:.12g}, expected 1", tr),
-             (w >= -eig_atol, "has negative eigenvalue {:.3e}", w)]
+             (abs(tr - 1.0) <= atol, "has trace {:.12g}, expected 1", tr),
+             (w >= -atol, "has negative eigenvalue {:.3e}", w)]
     failing = [(int(np.argmin(ok)), i) for i, (ok, _, _) in enumerate(tests) if not ok.all()]
     if failing:
         k, i = min(failing)

@@ -31,7 +31,6 @@ from .operators import (
     DimensionError,
     ValidationError,
     check_density_matrix,
-    clamp_spectrum,
     partial_trace,
     pauli,
     write_csv,
@@ -51,7 +50,8 @@ __all__ = [
     "save_discord_csv",
 ]
 
-# Outcomes below this probability are dropped; their p log p limit is zero.
+# Outcomes and eigenvalues at or below this probability are dropped; their
+# p log p limit is zero.  Round-off negatives of a checked state fall among them.
 PROB_FLOOR = 1e-12
 
 # discord_min: the (theta, phi) grid, of which the theta <= pi/2 hemisphere
@@ -70,10 +70,10 @@ class EntropyUnit(enum.Enum):
         return 1.0 / math.log(2.0) if self is EntropyUnit.BITS else 1.0
 
 
-def _entropy_nats(spectrum: np.ndarray) -> float:
-    lam = clamp_spectrum(spectrum)
-    lam = lam[lam > PROB_FLOOR]
-    return float(-(lam * np.log(lam)).sum())
+def _entropy_nats(spectrum: np.ndarray):
+    """-sum lam log lam over the last axis, skipping lam <= PROB_FLOOR."""
+    lam = np.where(spectrum > PROB_FLOOR, spectrum, 1.0)
+    return -(lam * np.log(lam)).sum(axis=-1)
 
 
 def _require_two_qubits(rho: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def von_neumann_entropy(rho: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -
     rho = check_density_matrix(rho)
     if rho.ndim != 2:
         raise DimensionError(f"rho must be one state, got shape {rho.shape}")
-    return _entropy_nats(np.linalg.eigvalsh(rho)) * unit.per_nat
+    return float(_entropy_nats(np.linalg.eigvalsh(rho))) * unit.per_nat
 
 
 def relative_entropy(
@@ -106,20 +106,23 @@ def relative_entropy(
         raise DimensionError(f"need two states of one shape: {rho.shape} vs {sigma.shape}")
     w_r = np.linalg.eigvalsh(rho)
     w_s, v_s = np.linalg.eigh(sigma)
-    w_s = clamp_spectrum(w_s)
     weights = np.einsum("ij,jk,ki->i", v_s.conj().T, rho, v_s).real
     if np.any((w_s < PROB_FLOOR) & (weights > 1e-10)):
         return math.inf
     mask = w_s > PROB_FLOOR
     cross = float(-(weights[mask] * np.log(w_s[mask])).sum())
-    return (cross - _entropy_nats(w_r)) * unit.per_nat
+    return (cross - float(_entropy_nats(w_r))) * unit.per_nat
+
+
+def _entropies_nats(rho_ab: np.ndarray) -> tuple[float, float, float]:
+    """S(A), S(B) and S(AB) in nats of a two-qubit state that is already checked."""
+    states = (partial_trace(rho_ab, (2, 2), "A"), partial_trace(rho_ab, (2, 2), "B"), rho_ab)
+    return tuple(float(_entropy_nats(np.linalg.eigvalsh(m))) for m in states)
 
 
 def _mutual_information_nats(rho_ab: np.ndarray) -> float:
     """I(A:B) in nats of a two-qubit state that is already checked."""
-    s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
-    s_b = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "B")))
-    s_ab = _entropy_nats(np.linalg.eigvalsh(rho_ab))
+    s_a, s_b, s_ab = _entropies_nats(rho_ab)
     return s_a + s_b - s_ab
 
 
@@ -184,9 +187,8 @@ def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
         p = u[..., 0] / 2.0
         live = p > PROB_FLOOR
         gap = np.linalg.norm(u[..., 1:], axis=-1) / (2.0 * np.where(live, u[..., 0], 1.0))
-        lam = np.clip(np.stack([0.5 - gap, 0.5 + gap], axis=-1), 0.0, None)
-        safe = np.where(lam > PROB_FLOOR, lam, 1.0)
-        total = total + np.where(live, p * -(safe * np.log(safe)).sum(axis=-1), 0.0)
+        s = _entropy_nats(np.stack([0.5 - gap, 0.5 + gap], axis=-1))
+        total = total + np.where(live, p * s, 0.0)
     return total
 
 
@@ -269,8 +271,8 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
     res = minimize(r, (_GRID_THETAS[i0], _GRID_PHIS[j0]), float(surface[i0, j0]))
     basis = MeasurementBasis(*res.x)
 
-    s_a = _entropy_nats(np.linalg.eigvalsh(partial_trace(rho_ab, (2, 2), "A")))
-    mi = _mutual_information_nats(rho_ab) * unit.per_nat
+    s_a, s_b, s_ab = _entropies_nats(rho_ab)
+    mi = (s_a + s_b - s_ab) * unit.per_nat
     classical = (s_a - res.fun) * unit.per_nat
     return DiscordResult(
         discord=max(mi - classical, 0.0),

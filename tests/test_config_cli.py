@@ -454,6 +454,19 @@ def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
         cmd_info_sweep(cfg)
 
 
+def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, capsys):
+    # near xi = 1 the null vector's state has an eigenvalue of -3.4e-9: the
+    # engine refuses it at the tolerance of the measures, inside the named point
+    path = tmp_path / "near.ini"
+    path.write_text("[model]\ndelta = -1.110186416034559\ntau = 0.011684542280711438\n"
+                    "[sweep]\nxi = 0.9999999715105595\ngamma = 0.3129519833644733\n"
+                    f"j_xy = -1.9514138955455498\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert cli.main(["info-sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "xi=+1.000, gamma=0.313, j_xy=-1.951: " in err
+    assert "negative eigenvalue" in err
+
+
 def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
     # The kernel saves evolve most of its formatting time; a non-float column
     # in its tables would send them to the slower row template.

@@ -107,12 +107,6 @@ def test_partial_trace_dimension_error():
         ops.partial_trace(np.eye(4) / 4, (2, 2), "C")
 
 
-def test_clamp_spectrum():
-    assert_allclose(ops.clamp_spectrum(np.array([-5e-11, 0.3, 0.7])), [0.0, 0.3, 0.7])
-    with pytest.raises(ops.ValidationError):
-        ops.clamp_spectrum(np.array([-1e-8, 1.0]))
-
-
 def test_check_density_matrix_accepts_valid():
     ops.check_density_matrix(np.eye(4) / 4)
     ops.check_density_matrix(bell_state())
@@ -174,7 +168,7 @@ def test_check_density_matrix_stack_matches_single_states():
         with pytest.raises(ops.ValidationError, match=f"^{re.escape(want)}$"):
             ops.check_density_matrix(np.stack(states))
     assert 10 <= raised <= 50
-    assert single_error(pool[5]) is None  # -5e-11 is within EIG_CLAMP
+    assert single_error(pool[5]) is None  # -5e-11 is within ATOL
 
 
 def _evolve(t_final=1.0, dt=0.01):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qusync import lindblad as lb
+from qusync import qinfo
 from qusync.operators import ValidationError, basis_ket
 
 # derandomized and without an example database: the same examples on every
@@ -27,11 +28,25 @@ SLOW_DECAY = lb.ModelParams(delta=-1.0, tau=1e-3, j_xy=-3.75, gamma=2.0**-8, xi=
 # cancels unless its phase is turned first.
 IMAGINARY_NULL_VECTOR = lb.ModelParams(delta=0.0, tau=1.9629333540090837e-171, j_xy=0.0,
                                        gamma=1.0, xi=0.0)
+# The null vector's state has an eigenvalue of -3.4e-9: an engine check at
+# 1e-8 passed it, and every measure refused it at 1e-10.
+NEAR_UNIT_CORRELATION = lb.ModelParams(delta=-1.110186416034559, tau=0.011684542280711438,
+                                       j_xy=-1.9514138955455498, gamma=0.3129519833644733,
+                                       xi=0.9999999715105595)
 
 
 def ket_density(label):
     k = basis_ket(label)
     return np.outer(k, k.conj())
+
+
+def reported_state(p):
+    """The engine's state for p: the steady state, or where it is degenerate
+    the asymptotic state from |1 0>."""
+    try:
+        return lb.steady_state(p)
+    except lb.DegenerateSteadyStateError:
+        return lb.asymptotic_state(p, ket_density("10"))
 
 
 def resolvable(liou):
@@ -57,14 +72,25 @@ def test_short_evolution_keeps_the_trace(p):
 def test_reported_long_time_state_is_a_fixed_point(p):
     liou = lb.build_liouvillian(p)
     try:
-        try:
-            rho = lb.steady_state(p)
-        except lb.DegenerateSteadyStateError:
-            rho = lb.asymptotic_state(p, ket_density("10"))
+        rho = reported_state(p)
     except ValidationError:
         assert not resolvable(liou)
         return
     assert np.linalg.norm(liou @ lb.vectorize(rho)) <= 1e-12 * max(np.linalg.norm(liou, 2), 1.0)
+
+
+@PROPERTY
+@given(params)
+@example(NEAR_UNIT_CORRELATION)
+def test_every_measure_accepts_a_reported_state(p):
+    # the engine refuses a state, or every measure accepts it: one verdict
+    try:
+        rho = reported_state(p)
+    except ValidationError:
+        return
+    for measure in (qinfo.mutual_information, qinfo.classical_mutual_information,
+                    qinfo.degree_of_quantumness, qinfo.discord_min):
+        measure(rho)
 
 
 @PROPERTY

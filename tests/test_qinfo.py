@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 
 from qusync import experiments, qinfo
 from qusync.config import ExperimentConfig
-from qusync.operators import DimensionError, ValidationError, kron, pauli
+from qusync.operators import (
+    DimensionError,
+    ValidationError,
+    check_density_matrix,
+    kron,
+    pauli,
+)
 from qusync.qinfo import EntropyUnit, MeasurementBasis
 from tests.oracles import (
     batch_sem,
@@ -117,6 +123,22 @@ def test_single_state_measures_reject_a_stack(measure):
     # a stack of valid states passes check_density_matrix, not the measures
     with pytest.raises(DimensionError):
         measure(np.stack([np.eye(4, dtype=complex) / 4, bell_state()]))
+
+
+@pytest.mark.parametrize("measure", [
+    qinfo.mutual_information,
+    qinfo.classical_mutual_information,
+    qinfo.degree_of_quantumness,
+    lambda rho: qinfo.discord_min(rho).discord,
+], ids=["mutual_information", "classical_mutual_information", "degree_of_quantumness",
+        "discord_min"])
+def test_two_qubit_measures_accept_every_checked_state(measure):
+    # |1><1| x I/2 with round-off negatives: rho passes check_density_matrix,
+    # and rho_A's eigenvalue -1.8e-10 is round-off of that state, not a
+    # second verdict on it
+    rho = np.diag([-0.9e-10, -0.9e-10, 0.5 + 0.9e-10, 0.5 + 0.9e-10]).astype(complex)
+    check_density_matrix(rho)
+    assert measure(rho) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mutual_information_bell():
