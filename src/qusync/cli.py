@@ -18,7 +18,6 @@ from .experiments import (
     cmd_info_sweep,
     cmd_sync_sweep,
 )
-from .lindblad import PropagationError
 from .operators import ValidationError
 
 _COMMANDS = {
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, ValidationError, PropagationError) as exc:
+    except (NumericalFailure, ValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for path in written:

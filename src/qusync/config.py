@@ -2,8 +2,10 @@
 
 The format is deliberately trivial: one ``key = value`` per line, ``#`` or
 ``;`` comments, and no interpolation, so files stay hand-editable and
-parseable from any language.  Parse and validation errors carry the offending
-line number.
+parseable from any language.  Every error about a value read from a file
+names that value's line (``line 3: ...``); where ``t_final >= dt`` fails, that
+is the line of ``t_final``, or of ``dt`` when the file sets only ``dt``.
+Errors from command-line overrides name no line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"
 
 
 class ConfigError(ValueError):
-    """Malformed or invalid configuration input."""
+    """Malformed or invalid configuration input; ``fields`` names the settings
+    a range error is about, so that a loaded file can name their line."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 def _default_gamma_grid() -> list[float]:
@@ -57,28 +64,30 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if set(self.initial_state) - {"0", "1"} or len(self.initial_state) != 2:
             raise ConfigError(
-                f"initial_state must be a 2-bit label like '10', got {self.initial_state!r}"
-            )
+                f"initial_state must be a 2-bit label like '10', got {self.initial_state!r}",
+                "initial_state")
         if self.dt <= 0 or self.t_final < self.dt:
-            raise ConfigError("need dt > 0 and t_final >= dt")
+            raise ConfigError("need dt > 0 and t_final >= dt",
+                              "t_final" if self.dt > 0 else "dt", "dt")
         if not (0.0 < self.window_fraction <= 1.0):
-            raise ConfigError("window_fraction must be in (0, 1]")
-        for name, values in (("xi", self.xi_values), ("gamma", self.gamma_values),
-                             ("j_xy", self.jxy_values)):
-            if len(values) == 0:
-                raise ConfigError(f"sweep list '{name}' is empty")
+            raise ConfigError("window_fraction must be in (0, 1]", "window_fraction")
+        for name, field_name in (("xi", "xi_values"), ("gamma", "gamma_values"),
+                                 ("j_xy", "jxy_values")):
+            if len(getattr(self, field_name)) == 0:
+                raise ConfigError(f"sweep list '{name}' is empty", field_name)
         if any(abs(x) > 1.0 for x in self.xi_values):
-            raise ConfigError("sweep xi values must lie in [-1, 1]")
+            raise ConfigError("sweep xi values must lie in [-1, 1]", "xi_values")
         if any(g < 0.0 for g in self.gamma_values):
-            raise ConfigError("sweep gamma values must be >= 0")
+            raise ConfigError("sweep gamma values must be >= 0", "gamma_values")
         if self.n_states < 1:
-            raise ConfigError("n_states must be >= 1")
+            raise ConfigError("n_states must be >= 1", "n_states")
         if not self.ranks or any(not 1 <= r <= 4 for r in self.ranks):
-            raise ConfigError("ranks must be a non-empty list in [1, 4] for two-qubit states")
+            raise ConfigError("ranks must be a non-empty list in [1, 4] for two-qubit states",
+                              "ranks")
         if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0", "seed")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1", "workers")
         return self
 
 
@@ -179,20 +188,28 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    model_fields, config_fields = {}, {}
+    # [model] keys are applied one at a time, so a range error names its line
+    model, config_fields, lines = ModelParams(), {}, {}
     for section, entries in sections.items():
-        target = model_fields if section == "model" else config_fields
         for key, (raw, lineno) in entries.items():
             name, conv, what = _SCHEMA[section][key]
             try:
-                target[name] = conv(raw)
+                value = conv(raw)
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"line {lineno}: {key} must be {what}, got {raw!r}") from exc
+            if section == "model":
+                try:
+                    model = replace(model, **{name: value})
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}: {exc}") from exc
+            else:
+                config_fields[name], lines[name] = value, lineno
     try:
-        model = ModelParams(**model_fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [model] parameters: {exc}") from exc
-    return ExperimentConfig(model=model, **config_fields).validate()
+        return ExperimentConfig(model=model, **config_fields).validate()
+    except ConfigError as exc:
+        # the defaults are valid, so a failing rule reads at least one key of the file
+        line = next(lines[name] for name in exc.fields if name in lines)
+        raise ConfigError(f"line {line}: {exc}") from exc
 
 
 def apply_overrides(cfg: ExperimentConfig, *, out_dir=None, seed=None, unit=None

@@ -19,12 +19,7 @@ import numpy as np
 
 from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
-from .lindblad import (
-    DegenerateSteadyStateError,
-    ModelParams,
-    NoSteadyStateError,
-    PropagationError,
-)
+from .lindblad import DegenerateSteadyStateError, ModelParams, NoSteadyStateError
 from .operators import ValidationError, basis_ket, save_matrix_csv, write_csv
 
 __all__ = [
@@ -73,14 +68,30 @@ def _tag(name: str, value: float) -> str:
     return fmt.format(float(value) + 0.0)
 
 
-def _refuse_shared_tags(**sweeps) -> None:
+def _plot_tag(name: str, value: float) -> str:
+    """The tag of a j_xy value in info-sweep's plot names, 2 decimals as written;
+    it takes ``_tag``'s arguments, so that ``_refuse_shared_tags`` can use it."""
+    return f"j{value:+.2f}"
+
+
+def _refuse_shared_tags(tag=_tag, **sweeps) -> None:
     """Refuse sweep values whose files would overwrite each other."""
     for name, values in sweeps.items():
-        tags = [_tag(name, v) for v in values]
-        for i, tag in enumerate(tags):
-            if tag in tags[:i]:
-                raise ConfigError(f"sweep {name} values {values[tags.index(tag)]!r} and "
-                                  f"{values[i]!r} would write to the same files ({tag})")
+        tags = [tag(name, v) for v in values]
+        for i, shared in enumerate(tags):
+            if shared in tags[:i]:
+                raise ConfigError(f"sweep {name} values {values[tags.index(shared)]!r} and "
+                                  f"{values[i]!r} would write to the same files ({shared})")
+
+
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created if it is missing."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
@@ -88,7 +99,7 @@ def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
     try:
         result = lindblad.evolve(_model_at(cfg, xi), _initial_state(cfg),
                                  cfg.t_final, cfg.dt)
-    except (ValidationError, PropagationError, np.linalg.LinAlgError) as exc:
+    except (ValidationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"evolution failed at xi={xi:+.3f}: {exc}") from exc
     # callers read only times and observables, so the states are not sent back
     return xi, replace(result, states=None)
@@ -97,8 +108,7 @@ def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
 def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory CSV and magnetization plot for every xi in the sweep list."""
     _refuse_shared_tags(xi=cfg.xi_values)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     written = []
     for xi, res in _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
                                cfg.workers):
@@ -133,8 +143,7 @@ def _sync_point(args) -> tuple[float, float, float, float, float]:
 
 def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Phase shift and phase-locking value versus bath correlation."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     rows = sorted(_map_points(_sync_point, [(cfg, xi) for xi in cfg.xi_values],
                               cfg.workers), key=lambda r: r[0])
     csv_path = out / "sync_sweep.csv"
@@ -187,8 +196,10 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     """
     if cfg.save_states:
         _refuse_shared_tags(xi=cfg.xi_values, gamma=cfg.gamma_values, j_xy=cfg.jxy_values)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if len(set(cfg.gamma_values)) > 1:
+        # each distinct j_xy gets its own plots
+        _refuse_shared_tags(_plot_tag, j_xy=list(dict.fromkeys(cfg.jxy_values)))
+    out = _out_dir(cfg)
     points = [(cfg, j, x, g) for j, x, g
               in product(cfg.jxy_values, cfg.xi_values, cfg.gamma_values)]
     rows = sorted(_map_points(_info_point, points, cfg.workers),
@@ -217,7 +228,7 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
         lookup = {(r["xi"], r["gamma"]): r for r in group}
         if len(xi_list) > 1 and len(gamma_list) > 1:
             z = [[lookup[(x, g)]["mutual_info"] for g in gamma_list] for x in xi_list]
-            hpath = out / f"info_heatmap_j{j_xy:+.2f}.svg"
+            hpath = out / f"info_heatmap_{_plot_tag('j_xy', j_xy)}.svg"
             svgplot.heatmap(hpath, xi_list, gamma_list, z,
                             title=f"mutual information ({unit_name}), j_xy = {j_xy:+.2f}",
                             xlabel="xi", ylabel="gamma")
@@ -232,7 +243,7 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
                 curves.append((f"D, xi={xi:+.2f}", gamma_list, dq, "dash"))
                 bands.append((gamma_list, dq, mi))
             xscale = "log" if min(gamma_list) > 0 else "linear"
-            lpath = out / f"info_lines_j{j_xy:+.2f}.svg"
+            lpath = out / f"info_lines_{_plot_tag('j_xy', j_xy)}.svg"
             svgplot.line_plot(lpath, curves, bands=bands, xscale=xscale,
                               title=f"total vs quantum correlation, j_xy = {j_xy:+.2f}",
                               xlabel="gamma", ylabel=unit_name)
@@ -255,8 +266,7 @@ def _discord_point(args):
 
 def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     """Random-state benchmark of discord and the quantumness upper bound on it."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     points = [(cfg, rank, i) for rank in cfg.ranks for i in range(cfg.n_states)]
     rows = sorted(_map_points(_discord_point, points, cfg.workers),
                   key=lambda r: (r[1], r[0]))

@@ -33,7 +33,6 @@ __all__ = [
     "EvolutionResult",
     "DegenerateSteadyStateError",
     "NoSteadyStateError",
-    "PropagationError",
     "build_hamiltonian",
     "site_operators",
     "build_collapse_ops",
@@ -87,10 +86,6 @@ class DegenerateSteadyStateError(RuntimeError):
 class NoSteadyStateError(RuntimeError):
     """No singular value of the generator is zero, or a null vector's state is
     no fixed point."""
-
-
-class PropagationError(RuntimeError):
-    """A propagated state violated a density-matrix invariant."""
 
 
 class Channel(enum.Enum):
@@ -260,8 +255,8 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     block.
 
     The recorded states are checked as one stack by ``check_density_matrix``
-    at ``atol=STATE_ATOL``; a violation raises :class:`PropagationError`
-    naming the first offending step, e.g. ``step 7 is not Hermitian (max
+    at ``atol=STATE_ATOL``; a violation raises its ``ValidationError``,
+    which names the first offending step, e.g. ``step 7 is not Hermitian (max
     deviation nan)``.  The observables are ``s{x,y,z}{1,2}`` and the purity.
     """
     require_finite(dt=dt, t_final=t_final)
@@ -286,10 +281,7 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
         v = rows[-1]
 
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
-    try:
-        check_density_matrix(states, atol=STATE_ATOL, name="step")
-    except ValidationError as exc:
-        raise PropagationError(str(exc)) from exc
+    check_density_matrix(states, atol=STATE_ATOL, name="step")
 
     # einsum, not @: a product this size would wake a second BLAS thread
     paulis = np.einsum("nk,qk->qn", vecs, _PAULI_WEIGHTS).real

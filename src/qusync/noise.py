@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ValidationError, require_finite, write_csv
+from .operators import ValidationError, require_finite
 
 __all__ = [
     "OUParams",
@@ -25,7 +25,6 @@ __all__ = [
     "stationary_covariance",
     "spectral_density",
     "correlation_transform",
-    "save_trajectory_csv",
 ]
 
 
@@ -91,21 +90,13 @@ def _chol2(m: np.ndarray) -> np.ndarray:
     return np.array([[l11, 0.0], [l21, l22]])
 
 
-def sample_ou(
-    params: OUParams,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    method: str = "euler",
-) -> NoiseTrajectory:
+def sample_ou(params: OUParams, dt: float, n_steps: int, seed: int) -> NoiseTrajectory:
     """Sample one trajectory of the correlated OU pair, E(0) = 0.
 
-    ``method="euler"`` is the Euler-Maruyama discretization of the SDE with
-    correlated Wiener increments built from two independent standard normals
-    through the Cholesky factor of Xi dt.  ``method="exact"`` uses the exact
-    one-step update (exponential decay plus a Gaussian increment with the
-    exact step covariance) and is free of discretization bias, which is what
-    the statistical self-tests rely on.
+    Each step is the exact one-step update: exponential decay plus a Gaussian
+    increment with the exact step covariance, drawn from two independent
+    standard normals through its Cholesky factor.  It is free of
+    discretization bias, which is what the statistical self-tests rely on.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -115,19 +106,11 @@ def sample_ou(
     b = np.asarray(params.b, dtype=float)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_steps, 2))
-
-    if method == "euler":
-        l_xi = _chol2(params.correlation_matrix)
-        incr = (z @ l_xi.T) * b * np.sqrt(dt)
-        decay = 1.0 - a * dt
-    elif method == "exact":
-        asum = a[:, None] + a[None, :]
-        cov = (np.outer(b, b) * params.correlation_matrix
-               * (1.0 - np.exp(-asum * dt)) / asum)
-        incr = z @ _chol2(cov).T
-        decay = np.exp(-a * dt)
-    else:
-        raise ValidationError(f"unknown sampling method {method!r}")
+    asum = a[:, None] + a[None, :]
+    cov = (np.outer(b, b) * params.correlation_matrix
+           * (1.0 - np.exp(-asum * dt)) / asum)
+    incr = z @ _chol2(cov).T
+    decay = np.exp(-a * dt)
 
     from scipy.signal import lfilter  # kept off the package import path: it is slow to load
 
@@ -176,7 +159,3 @@ def correlation_transform(xi: float) -> tuple[np.ndarray, tuple[float, float]]:
         raise ValidationError(f"|xi| must be <= 1, got {xi}")
     t = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     return t, (1.0 + xi, 1.0 - xi)
-
-
-def save_trajectory_csv(path, traj: NoiseTrajectory) -> None:
-    write_csv(path, ("t", "E1", "E2"), [traj.times, traj.e1, traj.e2])

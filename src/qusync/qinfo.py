@@ -41,7 +41,6 @@ __all__ = [
     "MeasurementBasis",
     "DiscordResult",
     "von_neumann_entropy",
-    "relative_entropy",
     "mutual_information",
     "discord_min",
     "classical_mutual_information",
@@ -88,30 +87,6 @@ def von_neumann_entropy(rho: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -
     if rho.ndim != 2:
         raise DimensionError(f"rho must be one state, got shape {rho.shape}")
     return float(_entropy_nats(np.linalg.eigvalsh(rho))) * unit.per_nat
-
-
-def relative_entropy(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    unit: EntropyUnit = EntropyUnit.BITS,
-) -> float:
-    """tr(rho log rho - rho log sigma), or +inf outside sigma's support.
-
-    Support failure means sigma has an eigenvalue below 1e-12 in a direction
-    where rho carries weight above 1e-10.
-    """
-    rho = check_density_matrix(rho, name="rho")
-    sigma = check_density_matrix(sigma, name="sigma")
-    if rho.shape != sigma.shape or rho.ndim != 2:
-        raise DimensionError(f"need two states of one shape: {rho.shape} vs {sigma.shape}")
-    w_r = np.linalg.eigvalsh(rho)
-    w_s, v_s = np.linalg.eigh(sigma)
-    weights = np.einsum("ij,jk,ki->i", v_s.conj().T, rho, v_s).real
-    if np.any((w_s < PROB_FLOOR) & (weights > 1e-10)):
-        return math.inf
-    mask = w_s > PROB_FLOOR
-    cross = float(-(weights[mask] * np.log(w_s[mask])).sum())
-    return (cross - float(_entropy_nats(w_r))) * unit.per_nat
 
 
 def _entropies_nats(rho_ab: np.ndarray) -> tuple[float, float, float]:

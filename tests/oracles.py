@@ -8,6 +8,7 @@ Everything here deliberately avoids the library's own code paths, and no
 * one projector path for measurements on qubit B, which both the
   single-basis functions and the dense-grid discord scan use;
 * the exact rank-2 discord of Koashi & Winter with Wootters' concurrence;
+* the relative entropy from the eigenbases of both states;
 * partial traces as explicit index sums, the 3-outcome POVM oracle with
   Bloch vectors from explicit traces, and batch-means standard errors.
 
@@ -119,6 +120,18 @@ def entropy_bits(spectrum: np.ndarray) -> float:
     lam = np.clip(np.asarray(spectrum, dtype=float), 0.0, None)
     lam = lam[lam > 1e-14]
     return float(-(lam * np.log2(lam)).sum())
+
+
+def relative_entropy_bits(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """S(rho||sigma) = sum_ij p_i |<r_i|s_j>|^2 (log2 p_i - log2 q_j) in bits, or
+    +inf when sigma's eigenvalues at or below 1e-12 hold weight of rho above 1e-10."""
+    p, r = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    q, s = np.linalg.eigh(np.asarray(sigma, dtype=complex))
+    weight = np.clip(p, 0.0, None) @ np.abs(r.conj().T @ s) ** 2  # rho's weight on |s_j>
+    support = q > 1e-12
+    if weight[~support].sum() > 1e-10:
+        return np.inf
+    return float(-(weight[support] * np.log2(q[support])).sum()) - entropy_bits(p)
 
 
 def bell_state() -> np.ndarray:

@@ -296,14 +296,14 @@ def test_c9_noise_model_statistics():
     kills cross-covariance, and the zero-frequency spectral density matches
     its closed form."""
     p = noise.OUParams()
-    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=901, method="exact")
+    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=901)
     var, sem = batch_sem(traj.e1[10_000:] ** 2)
     print(f"[criterion 9] stationary variance {var:.4f} +- {sem:.4f} (target 0.5)")
     assert abs(var - 0.5) < 3.0 * sem
 
     for xi, seed in ((-0.8, 903), (0.5, 907)):
         pc = noise.OUParams(xi=xi)
-        tr = noise.sample_ou(pc, 0.01, 1_000_000, seed=seed, method="exact")
+        tr = noise.sample_ou(pc, 0.01, 1_000_000, seed=seed)
         t_mat, _ = noise.correlation_transform(xi)
         decoupled = tr.values[10_000:] @ t_mat.T
         cross, sem_c = batch_sem(decoupled[:, 0] * decoupled[:, 1])

@@ -187,18 +187,57 @@ def test_invalid_config_exits_one(tmp_path, capsys):
 def test_empty_ranks_list_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, "[discord]\nranks =\n[output]\ndirectory = {out}\n")
     assert cli.main(["discord-bench", "--config", str(path)]) == 1
-    assert "config error: ranks must be a non-empty list" in capsys.readouterr().err
+    assert "config error: line 2: ranks must be a non-empty list" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_BENCH.replace("seed = 5", "seed = -1"))
     assert cli.main(["discord-bench", "--config", str(path)]) == 1
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert "config error: line 8: seed must be >= 0" in capsys.readouterr().err
     path = write_config(tmp_path, SMALL_BENCH)
     assert cli.main(["discord-bench", "--config", str(path), "--seed", "-3"]) == 1
     assert "config error: seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[model]\ndelta = 1\ngamma = -1\n", 3, "gamma must be >= 0"),
+    ("[evolution]\ninitial_state = 12\n", 2, "initial_state must be a 2-bit label"),
+    ("[evolution]\ndt = -0.1\nt_final = 5\n", 2, "need dt > 0"),
+    ("[evolution]\ndt = 0.5\nt_final = 0.1\n", 3, "need dt > 0 and t_final >= dt"),
+    ("[evolution]\n\ndt = 500\n", 3, "need dt > 0 and t_final >= dt"),
+    ("[analysis]\nunit = bits\nwindow_fraction = 2\n", 3, r"window_fraction must be in \(0, 1\]"),
+    ("[sweep]\nxi =\n", 2, "sweep list 'xi' is empty"),
+    ("[sweep]\nxi = 0\ngamma =\n", 3, "sweep list 'gamma' is empty"),
+    ("[sweep]\nxi = 0\ngamma = 0.1\nj_xy =\n", 4, "sweep list 'j_xy' is empty"),
+    ("[sweep]\nxi = 0, 1.5\n", 2, r"sweep xi values must lie in \[-1, 1\]"),
+    ("[sweep]\ngamma = 0.1, -0.1\n", 2, "sweep gamma values must be >= 0"),
+    ("[discord]\nn_states = 0\n", 2, "n_states must be >= 1"),
+    ("[discord]\nn_states = 3\nranks = 2, 5\n", 3, "ranks must be a non-empty list"),
+    ("[output]\nseed = -1\n", 2, "seed must be >= 0"),
+    ("[output]\nseed = 1\nworkers = 0\n", 3, "workers must be >= 1"),
+], ids=["model-gamma", "initial_state", "dt", "t_final", "dt-only", "window_fraction",
+        "xi-empty", "gamma-empty", "j_xy-empty", "xi-range", "gamma-range", "n_states",
+        "ranks", "seed", "workers"])
+def test_range_errors_name_their_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^line {line}: {message}"):
+        load_config(path)
+    assert cli.main(["discord-bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sync-sweep", "info-sweep", "discord-bench"])
+def test_unusable_out_dir_exits_one(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main([command, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {taken}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, sweep, values", [
@@ -208,7 +247,13 @@ def test_negative_seed_exits_one(tmp_path, capsys):
      "[output]\nsave_states = true\n", ("0.12341", "0.12342")),
     ("info-sweep", "[sweep]\nxi = 0.5\ngamma = 0.1\nj_xy = 0.2501, 0.2504\n"
      "[output]\nsave_states = true\n", ("0.2501", "0.2504")),
-], ids=["evolve-xi", "evolve-signed-zero", "info-gamma", "info-j_xy"])
+    # info-sweep names its per-j_xy plots with j_xy to 2 decimals
+    ("info-sweep", "[sweep]\nxi = -1, 0\ngamma = 0.1, 0.2\nj_xy = 0.1001, 0.1002\n",
+     ("0.1001", "0.1002")),
+    ("info-sweep", "[sweep]\nxi = 0.5\ngamma = 0.1, 0.2\nj_xy = 0.101, 0.104\n"
+     "[output]\nsave_states = true\n", ("0.101", "0.104")),
+], ids=["evolve-xi", "evolve-signed-zero", "info-gamma", "info-j_xy", "info-plot-j_xy",
+        "info-plot-j_xy-saved"])
 def test_sweep_values_sharing_a_file_exit_one(tmp_path, capsys, command, sweep, values):
     path = write_config(tmp_path, "[evolution]\nt_final = 1\n" + sweep)
     out = tmp_path / "out"
@@ -220,13 +265,19 @@ def test_sweep_values_sharing_a_file_exit_one(tmp_path, capsys, command, sweep, 
 
 def test_fine_sweeps_accepted_where_no_file_is_tagged(tmp_path):
     path = write_config(tmp_path, "[evolution]\nt_final = 4\n[sweep]\nxi = 0.1234, 0.1231\n"
-                        "gamma = 0.12341, 0.12342\nj_xy = 0.2501, 0.2504\n")
+                        "gamma = 0.12341, 0.12342\nj_xy = 0.2501, 0.2604\n")
     for command in ("sync-sweep", "info-sweep"):
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
     _, rows = _load_csv(tmp_path / "sync-sweep" / "sync_sweep.csv")
     assert len(rows) == 2
     _, rows = _load_csv(tmp_path / "info-sweep" / "info_sweep.csv")
     assert len(rows) == 8
+    # with one gamma, info-sweep writes no per-j_xy plot
+    path = write_config(tmp_path, "[evolution]\nt_final = 4\n[sweep]\nxi = 0.1234, 0.1231\n"
+                        "gamma = 0.1\nj_xy = 0.2501, 0.2504\n", name="one_gamma.ini")
+    assert cli.main(["info-sweep", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
+    _, rows = _load_csv(tmp_path / "one" / "info_sweep.csv")
+    assert len(rows) == 4
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):

@@ -22,8 +22,6 @@ def test_sample_rejects_bad_grid():
         noise.sample_ou(p, dt=0.0, n_steps=10, seed=1)
     with pytest.raises(ValidationError):
         noise.sample_ou(p, dt=0.01, n_steps=0, seed=1)
-    with pytest.raises(ValidationError):
-        noise.sample_ou(p, dt=0.01, n_steps=10, seed=1, method="heun")
 
 
 def test_deterministic_for_fixed_seed():
@@ -36,23 +34,21 @@ def test_deterministic_for_fixed_seed():
 
 def test_fully_correlated_channels_identical():
     p = noise.OUParams(xi=1.0)
-    for method in ("euler", "exact"):
-        traj = noise.sample_ou(p, 0.01, 2000, seed=7, method=method)
-        assert_allclose(traj.e1, traj.e2, rtol=0, atol=0)
+    traj = noise.sample_ou(p, 0.01, 2000, seed=7)
+    assert_allclose(traj.e1, traj.e2, rtol=0, atol=0)
 
 
 def test_uncorrelated_cross_covariance_vanishes():
     p = noise.OUParams(xi=0.0)
-    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=11, method="exact")
+    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=11)
     burn = 10_000
     mean, sem = batch_sem(traj.e1[burn:] * traj.e2[burn:])
     assert abs(mean) < 3 * sem
 
 
-@pytest.mark.parametrize("method", ["euler", "exact"])
-def test_stationary_variance_matches_b2_over_2a(method):
+def test_stationary_variance_matches_b2_over_2a():
     p = noise.OUParams()
-    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=13, method=method)
+    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=13)
     burn = 10_000
     mean, sem = batch_sem(traj.e1[burn:] ** 2)
     assert abs(mean - 0.5) < 3 * sem
@@ -69,7 +65,7 @@ def test_stationary_covariance_analytic_cases():
 
 def test_stationary_covariance_against_sampler():
     p = noise.OUParams(xi=0.5)
-    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=17, method="exact")
+    traj = noise.sample_ou(p, 0.01, 1_000_000, seed=17)
     burn = 10_000
     expected = noise.stationary_covariance(p)
     cross, sem_c = batch_sem(traj.e1[burn:] * traj.e2[burn:])
@@ -122,7 +118,7 @@ def test_spectral_density_zero_frequency_against_dft():
     # Wiener-Khinchin at w = 0: sum the sampled autocovariance over lags
     p = noise.OUParams()
     dt, n = 0.01, 1_000_000
-    traj = noise.sample_ou(p, dt, n, seed=19, method="exact")
+    traj = noise.sample_ou(p, dt, n, seed=19)
     x = traj.e1[10_000:]
     x = x - x.mean()
     m = x.size
@@ -137,7 +133,7 @@ def test_spectral_density_zero_frequency_against_dft():
 def test_autocorrelation_decay_rate():
     p = noise.OUParams(a=(1.0, 1.0))
     dt, n = 0.01, 1_000_000
-    traj = noise.sample_ou(p, dt, n, seed=23, method="exact")
+    traj = noise.sample_ou(p, dt, n, seed=23)
     x = traj.e1[10_000:]
     x = x - x.mean()
     lags = np.arange(10, 210, 20)
@@ -161,21 +157,9 @@ def test_correlation_transform_diagonalizes():
 def test_transformed_processes_uncorrelated():
     for xi, seed in ((-0.8, 31), (0.5, 37)):
         p = noise.OUParams(xi=xi)
-        traj = noise.sample_ou(p, 0.01, 1_000_000, seed=seed, method="exact")
+        traj = noise.sample_ou(p, 0.01, 1_000_000, seed=seed)
         t, _ = noise.correlation_transform(xi)
         transformed = traj.values[10_000:] @ t.T
         mean, sem = batch_sem(transformed[:, 0] * transformed[:, 1])
         assert abs(mean) < 3 * sem
 
-
-def test_trajectory_csv(tmp_path):
-    p = noise.OUParams(xi=0.2)
-    traj = noise.sample_ou(p, 0.05, 50, seed=3)
-    path = tmp_path / "traj.csv"
-    noise.save_trajectory_csv(path, traj)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,E1,E2"
-    assert len(lines) == 52  # header + initial point + 50 steps
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    assert_allclose(data[:, 0], traj.times, atol=0)
-    assert_allclose(data[:, 1:], traj.values, atol=0)

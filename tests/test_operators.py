@@ -332,11 +332,6 @@ def test_evolution_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
     for save in (lindblad.save_evolution_csv, lindblad.save_bloch_csv):
         percent, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, res))
         assert kernel == percent
-    rng = np.random.default_rng(3)
-    traj = noise.NoiseTrajectory(np.arange(500) * 0.01, rng.standard_normal((500, 2)))
-    percent, kernel = both_paths(monkeypatch, tmp_path,
-                                 lambda path: noise.save_trajectory_csv(path, traj))
-    assert kernel == percent
 
 
 def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
