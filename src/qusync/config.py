@@ -73,8 +73,12 @@ class ExperimentConfig:
             raise ConfigError("window_fraction must be in (0, 1]", "window_fraction")
         for name, field_name in (("xi", "xi_values"), ("gamma", "gamma_values"),
                                  ("j_xy", "jxy_values")):
-            if len(getattr(self, field_name)) == 0:
+            values = getattr(self, field_name)
+            if len(values) == 0:
                 raise ConfigError(f"sweep list '{name}' is empty", field_name)
+            if len(set(values)) < len(values):
+                first = next(v for i, v in enumerate(values) if v in values[i + 1:])
+                raise ConfigError(f"sweep list '{name}' repeats {first!r}", field_name)
         if any(abs(x) > 1.0 for x in self.xi_values):
             raise ConfigError("sweep xi values must lie in [-1, 1]", "xi_values")
         if any(g < 0.0 for g in self.gamma_values):
@@ -176,6 +180,9 @@ def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key = key.strip().lower()
         if key not in _SCHEMA[current]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on line "
+                              f"{sections[current][key][1]} in [{current}]")
         sections[current][key] = (value.split("#")[0].strip(), lineno)
     return sections
 

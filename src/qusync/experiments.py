@@ -196,9 +196,9 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     """
     if cfg.save_states:
         _refuse_shared_tags(xi=cfg.xi_values, gamma=cfg.gamma_values, j_xy=cfg.jxy_values)
-    if len(set(cfg.gamma_values)) > 1:
-        # each distinct j_xy gets its own plots
-        _refuse_shared_tags(_plot_tag, j_xy=list(dict.fromkeys(cfg.jxy_values)))
+    if len(cfg.gamma_values) > 1:
+        # each j_xy gets its own plots
+        _refuse_shared_tags(_plot_tag, j_xy=cfg.jxy_values)
     out = _out_dir(cfg)
     points = [(cfg, j, x, g) for j, x, g
               in product(cfg.jxy_values, cfg.xi_values, cfg.gamma_values)]
@@ -221,8 +221,7 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     by_j = {}
     for r in rows:
         by_j.setdefault(r["jxy"], []).append(r)
-    xi_list = sorted(set(r["xi"] for r in rows))
-    gamma_list = sorted(set(r["gamma"] for r in rows))
+    xi_list, gamma_list = sorted(cfg.xi_values), sorted(cfg.gamma_values)
     unit_name = cfg.unit.value
     for j_xy, group in sorted(by_j.items()):
         lookup = {(r["xi"], r["gamma"]): r for r in group}

@@ -6,13 +6,14 @@ Xi = [[1, xi], [xi, 1]].  This module certifies the noise statistics and the
 orthogonal transform that decouples the pair; it does not feed numbers into
 the master-equation engine at runtime.
 
-Sampling uses numpy's PCG64 generator, so trajectories are reproducible from
-an integer seed.
+Sampling uses numpy alone, with its PCG64 generator, so trajectories are
+reproducible from an integer seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +27,8 @@ __all__ = [
     "spectral_density",
     "correlation_transform",
 ]
+
+BLOCK = 128  # steps per stacked product in sample_ou, as in lindblad.evolve
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,9 @@ def sample_ou(params: OUParams, dt: float, n_steps: int, seed: int) -> NoiseTraj
     increment with the exact step covariance, drawn from two independent
     standard normals through its Cholesky factor.  It is free of
     discretization bias, which is what the statistical self-tests rely on.
+    E[n+1] = decay E[n] + incr[n] runs in blocks of ``BLOCK`` steps, as in
+    ``lindblad.evolve``: one stacked product with the kernel decay^(j-i) gives
+    each block from a zero start, and decay^BLOCK carries the block ends on.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -110,14 +116,17 @@ def sample_ou(params: OUParams, dt: float, n_steps: int, seed: int) -> NoiseTraj
     cov = (np.outer(b, b) * params.correlation_matrix
            * (1.0 - np.exp(-asum * dt)) / asum)
     incr = z @ _chol2(cov).T
-    decay = np.exp(-a * dt)
-
-    from scipy.signal import lfilter  # kept off the package import path: it is slow to load
-
-    values = np.zeros((n_steps + 1, 2))
-    for ch in (0, 1):
-        # AR(1) recursion E[n+1] = decay * E[n] + incr[n], run in C by lfilter
-        values[1:, ch] = lfilter([1.0], [1.0, -decay[ch]], incr[:, ch])
+    # powers[ch, j] = decay^j for j = 0..BLOCK; kernel[ch, i, j] = decay^(j-i), j >= i
+    powers = np.exp(-a * dt)[:, None] ** np.arange(BLOCK + 1)
+    kernel = np.triu(powers[:, abs(np.arange(BLOCK) - np.arange(BLOCK)[:, None])])
+    blocks = np.pad(incr.T, ((0, 0), (0, -n_steps % BLOCK))).reshape(2, -1, BLOCK)
+    zero_start = blocks @ kernel
+    starts = np.zeros(zero_start.shape[:2])
+    ends = zero_start[:, :-1, -1].tolist()
+    for start, block_ends, carry in zip(starts, ends, powers[:, BLOCK].tolist()):
+        start[1:] = list(accumulate(block_ends, lambda e, x: carry * e + x))
+    blocked = zero_start + powers[:, None, 1:] * starts[:, :, None]
+    values = np.pad(blocked.reshape(2, -1)[:, :n_steps].T, ((1, 0), (0, 0)))
     times = np.arange(n_steps + 1) * dt
     return NoiseTrajectory(times, values)
 

@@ -108,6 +108,12 @@ def test_parse_rejects_unknown_section_and_key():
         parse_config_text("delta = 1\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("[model]\ndelta 1\n")
+    # a repeated key is an error, also across two headers of one section
+    repeated = r"key 'delta' already set on line 2 in \[model\]"
+    with pytest.raises(ConfigError, match=rf"^line 3: {repeated}"):
+        parse_config_text("[model]\ndelta = 1\ndelta = 2\n")
+    with pytest.raises(ConfigError, match=rf"^line 5: {repeated}"):
+        parse_config_text("[model]\ndelta = 1\n[sweep]\n[model]\ndelta = 2\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -213,12 +219,14 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     ("[sweep]\nxi = 0\ngamma = 0.1\nj_xy =\n", 4, "sweep list 'j_xy' is empty"),
     ("[sweep]\nxi = 0, 1.5\n", 2, r"sweep xi values must lie in \[-1, 1\]"),
     ("[sweep]\ngamma = 0.1, -0.1\n", 2, "sweep gamma values must be >= 0"),
+    ("[sweep]\nxi = 0\nj_xy = 0.5, -1, 0.5\n", 3, "sweep list 'j_xy' repeats 0.5"),
     ("[discord]\nn_states = 0\n", 2, "n_states must be >= 1"),
     ("[discord]\nn_states = 3\nranks = 2, 5\n", 3, "ranks must be a non-empty list"),
     ("[output]\nseed = -1\n", 2, "seed must be >= 0"),
     ("[output]\nseed = 1\nworkers = 0\n", 3, "workers must be >= 1"),
 ], ids=["model-gamma", "initial_state", "dt", "t_final", "dt-only", "window_fraction",
-        "xi-empty", "gamma-empty", "j_xy-empty", "xi-range", "gamma-range", "n_states",
+        "xi-empty", "gamma-empty", "j_xy-empty", "xi-range", "gamma-range", "j_xy-repeat",
+        "n_states",
         "ranks", "seed", "workers"])
 def test_range_errors_name_their_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.ini"
@@ -424,6 +432,29 @@ def test_cli_import_leaves_out(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, the noise
+    # sampler and all four commands still run
+    path = write_config(tmp_path, "[evolution]\nt_final = 20\ndt = 0.05\n[sweep]\nxi = 0, 1\n"
+                        "gamma = 0.1\nj_xy = 0.25\n[discord]\nn_states = 2\nranks = 2\n")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qusync\n"
+        "from qusync import cli\n"
+        "qusync.sample_ou(qusync.OUParams(xi=0.5), 0.01, 300, seed=1)\n"
+        "for command in ('evolve', 'sync-sweep', 'info-sweep', 'discord-bench'):\n"
+        "    out = sys.argv[2] + '/' + command\n"
+        "    assert cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qusync.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert {p.parent.name for p in tmp_path.glob("*/*.csv")} == {
+        "evolve", "sync-sweep", "info-sweep", "discord-bench"}
 
 
 def test_benchmark_tracer_binds_to_the_program():

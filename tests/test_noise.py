@@ -38,6 +38,32 @@ def test_fully_correlated_channels_identical():
     assert_allclose(traj.e1, traj.e2, rtol=0, atol=0)
 
 
+def lfilter_values(p, dt, n_steps, seed):
+    """sample_ou's increments run through scipy's lfilter, the AR(1) oracle."""
+    from scipy.signal import lfilter
+
+    a, b = np.asarray(p.a), np.asarray(p.b)
+    asum = a[:, None] + a[None, :]
+    cov = np.outer(b, b) * p.correlation_matrix * (1.0 - np.exp(-asum * dt)) / asum
+    incr = np.random.default_rng(seed).standard_normal((n_steps, 2)) @ noise._chol2(cov).T
+    values = np.zeros((n_steps + 1, 2))
+    for ch, decay in enumerate(np.exp(-a * dt)):
+        values[1:, ch] = lfilter([1.0], [1.0, -decay], incr[:, ch])
+    return values
+
+
+@pytest.mark.parametrize("decay", [0.5, 0.99, 1.0 - 1e-6, 0.0])
+@pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 200_000])
+def test_blocked_recursion_matches_lfilter(decay, n_steps):
+    # a decay of exactly 0 is what exp(-a dt) gives by underflow for a dt > 745
+    a = 800.0 if decay == 0.0 else -np.log(decay)
+    p = noise.OUParams(a=(a, a), b=(1.0, 0.7), xi=0.3)
+    assert (np.exp(-a) == 0.0) == (decay == 0.0)
+    got = noise.sample_ou(p, 1.0, n_steps, seed=29).values
+    want = lfilter_values(p, 1.0, n_steps, seed=29)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_uncorrelated_cross_covariance_vanishes():
     p = noise.OUParams(xi=0.0)
     traj = noise.sample_ou(p, 0.01, 1_000_000, seed=11)
