@@ -10,8 +10,6 @@ measurements.
 from .lindblad import (
     Channel,
     ModelParams,
-    build_collapse_ops,
-    build_hamiltonian,
     build_liouvillian,
     evolve,
     steady_state,
@@ -34,8 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Channel",
     "ModelParams",
-    "build_collapse_ops",
-    "build_hamiltonian",
     "build_liouvillian",
     "evolve",
     "steady_state",

@@ -88,6 +88,9 @@ class ExperimentConfig:
         if not self.ranks or any(not 1 <= r <= 4 for r in self.ranks):
             raise ConfigError("ranks must be a non-empty list in [1, 4] for two-qubit states",
                               "ranks")
+        if len(set(self.ranks)) < len(self.ranks):
+            first = next(r for i, r in enumerate(self.ranks) if r in self.ranks[i + 1:])
+            raise ConfigError(f"list 'ranks' repeats {first!r}", "ranks")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", "seed")
         if self.workers < 1:

@@ -1,13 +1,13 @@
 """Two-qubit master-equation engine with correlated collective dissipation.
 
-The Hamiltonian couples two driven qubits through an exchange term; the
-environment enters through a symmetric and an antisymmetric collective jump
-operator whose rates gamma*(1+xi) and gamma*(1-xi) inherit the eigenvalues of
-the bath correlation matrix.  Propagation uses the matrix exponential of the
-16x16 Liouvillian L (exact for a time-independent generator), computed in
-numpy by scaling and squaring.  Steady and
-asymptotic states come from the null spaces of one SVD of L, where a singular
-value counts as zero up to ``NULL_ATOL * max(||L||_2, 1)``.
+Two driven qubits couple through an exchange term; the environment enters
+through two collective jump operators whose rates gamma (1 +- xi)/2 are the
+eigenvalues of the bath correlation matrix, so the 16x16 Liouvillian L is a
+weighted sum of five fixed superoperators per channel.  Propagation uses the
+matrix exponential of L (exact for a time-independent generator), computed in
+numpy by scaling and squaring.  Steady and asymptotic states come from the
+null spaces of one SVD of L, where a singular value counts as zero up to
+``NULL_ATOL * max(||L||_2, 1)``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ __all__ = [
     "EvolutionResult",
     "DegenerateSteadyStateError",
     "NoSteadyStateError",
-    "build_hamiltonian",
-    "site_operators",
-    "build_collapse_ops",
     "vectorize",
     "unvectorize",
     "dissipator_superoperator",
@@ -103,20 +100,17 @@ class Channel(enum.Enum):
 
 _I2 = pauli("id")
 # Parameter-free two-qubit operators, built once and read-only: the Pauli
-# matrices on each qubit, the exchange term s1+ s2- + s1- s2+, and for each
-# channel its operator on qubit 1 and on qubit 2.
+# matrices on each qubit and the exchange term s1+ s2- + s1- s2+.
 _OPS = {
     **{f"s{axis}1": kron(pauli(axis), _I2) for axis in "xyz"},
     **{f"s{axis}2": kron(_I2, pauli(axis)) for axis in "xyz"},
     "exchange": kron(pauli("plus"), pauli("minus")) + kron(pauli("minus"), pauli("plus")),
 }
-_SITE_OPS = {ch: (kron(ch.operator, _I2), kron(_I2, ch.operator)) for ch in Channel}
 # tr(rho O) = vec(rho) . ravel(O) under column stacking, so each row of this
 # table turns a vectorized state into one Pauli expectation.
 _PAULI_NAMES = ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
 _PAULI_WEIGHTS = np.stack([_OPS[name].ravel() for name in _PAULI_NAMES])
-for _m in [*_OPS.values(), *(m for pair in _SITE_OPS.values() for m in pair),
-           _PAULI_WEIGHTS]:
+for _m in [*_OPS.values(), _PAULI_WEIGHTS]:
     _m.setflags(write=False)
 
 
@@ -156,31 +150,6 @@ class EvolutionResult:
     observables: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """H = delta/2 (sz1 + sz2) + tau/2 (sx1 + sx2) + j_xy (s1+ s2- + s2+ s1-)."""
-    h = p.delta / 2.0 * (_OPS["sz1"] + _OPS["sz2"])
-    h = h + p.tau / 2.0 * (_OPS["sx1"] + _OPS["sx2"])
-    return h + p.j_xy * _OPS["exchange"]
-
-
-def site_operators(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Channel operator embedded on qubit 1 and on qubit 2 (read-only)."""
-    return _SITE_OPS[p.channel]
-
-
-def build_collapse_ops(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric and antisymmetric collective jump operators.
-
-    c_S = sqrt(gamma (1+xi)) (s1 + s2)/sqrt(2) and
-    c_A = sqrt(gamma (1-xi)) (s1 - s2)/sqrt(2), where s_i is the channel
-    operator on qubit i.  |xi| <= 1 keeps both rates non-negative.
-    """
-    s1, s2 = site_operators(p)
-    c_sym = np.sqrt(p.gamma * (1.0 + p.xi) / 2.0) * (s1 + s2)
-    c_asym = np.sqrt(p.gamma * (1.0 - p.xi) / 2.0) * (s1 - s2)
-    return c_sym, c_asym
-
-
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A rho B) = (B^T kron A) vec(rho)."""
     return np.asarray(rho, dtype=complex).flatten(order="F")
@@ -206,17 +175,37 @@ def dissipator_superoperator(c: np.ndarray) -> np.ndarray:
             - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye)))
 
 
-def build_liouvillian(p: ModelParams) -> np.ndarray:
-    """Assemble the 16x16 generator from the Hamiltonian and both jump ops.
+def _generator_terms(channel: Channel) -> np.ndarray:
+    """Read-only superoperators of -i[sz1 + sz2, .], -i[sx1 + sx2, .],
+    -i[s1+ s2- + s1- s2+, .], D[s1 + s2] and D[s1 - s2], where s_i is the
+    channel operator on qubit i."""
+    s1, s2 = kron(channel.operator, _I2), kron(_I2, channel.operator)
+    terms = np.stack([
+        _commutator_superoperator(_OPS["sz1"] + _OPS["sz2"]),
+        _commutator_superoperator(_OPS["sx1"] + _OPS["sx2"]),
+        _commutator_superoperator(_OPS["exchange"]),
+        dissipator_superoperator(s1 + s2),
+        dissipator_superoperator(s1 - s2),
+    ])
+    terms.setflags(write=False)
+    return terms
 
-    The generator acts on column-stacked vectorized states.  Finite inputs
-    can overflow it (a rate of 1e308); that raises :class:`ValidationError`
-    naming the generator.
+
+_GENERATOR_TERMS = {ch: _generator_terms(ch) for ch in Channel}
+
+
+def build_liouvillian(p: ModelParams) -> np.ndarray:
+    """The 16x16 generator: the five terms of the channel weighted by
+    delta/2, tau/2, j_xy, gamma (1+xi)/2 and gamma (1-xi)/2.
+
+    It acts on column-stacked vectorized states.  Finite inputs can overflow
+    it (a rate of 1e308); that raises :class:`ValidationError` naming the
+    generator.
     """
+    weights = (p.delta / 2.0, p.tau / 2.0, p.j_xy,
+               p.gamma * (1.0 + p.xi) / 2.0, p.gamma * (1.0 - p.xi) / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = _commutator_superoperator(build_hamiltonian(p))
-        for c in build_collapse_ops(p):
-            mat = mat + dissipator_superoperator(c)
+        mat = np.einsum("k,kij->ij", weights, _GENERATOR_TERMS[p.channel])
     require_finite(generator=mat)
     return mat
 

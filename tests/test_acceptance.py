@@ -26,9 +26,11 @@ from tests.oracles import (
     batch_sem,
     bell_diagonal_discord,
     bell_state,
+    collapse_ops,
     cross_dissipator_apply,
     dense_grid_discord,
     koashi_winter_discord,
+    site_operators,
 )
 
 RHO0 = np.outer(basis_ket("10"), basis_ket("10").conj())
@@ -98,9 +100,9 @@ def test_c2_dissipator_decomposition_identity():
     eye = np.eye(4, dtype=complex)
     for xi in (-1.0, -0.4, 0.0, 0.4, 1.0):
         p = fig_params(xi)
-        c_s, c_a = lb.build_collapse_ops(p)
+        c_s, c_a = collapse_ops(p)
         left = lb.dissipator_superoperator(c_s) + lb.dissipator_superoperator(c_a)
-        s1, s2 = lb.site_operators(p)
+        s1, s2 = site_operators(p)
         right = (lb.dissipator_superoperator(np.sqrt(p.gamma) * s1)
                  + lb.dissipator_superoperator(np.sqrt(p.gamma) * s2))
         cross = np.zeros((16, 16), dtype=complex)

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -222,12 +224,13 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     ("[sweep]\nxi = 0\nj_xy = 0.5, -1, 0.5\n", 3, "sweep list 'j_xy' repeats 0.5"),
     ("[discord]\nn_states = 0\n", 2, "n_states must be >= 1"),
     ("[discord]\nn_states = 3\nranks = 2, 5\n", 3, "ranks must be a non-empty list"),
+    ("[discord]\nranks = 2, 3, 2\n", 2, "list 'ranks' repeats 2"),
     ("[output]\nseed = -1\n", 2, "seed must be >= 0"),
     ("[output]\nseed = 1\nworkers = 0\n", 3, "workers must be >= 1"),
 ], ids=["model-gamma", "initial_state", "dt", "t_final", "dt-only", "window_fraction",
         "xi-empty", "gamma-empty", "j_xy-empty", "xi-range", "gamma-range", "j_xy-repeat",
         "n_states",
-        "ranks", "seed", "workers"])
+        "ranks", "ranks-repeat", "seed", "workers"])
 def test_range_errors_name_their_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -434,6 +437,14 @@ def test_cli_import_leaves_out(module):
     assert out.stdout.strip() == "False"
 
 
+def test_every_exported_name_resolves():
+    modules = [qusync] + [importlib.import_module(f"qusync.{info.name}")
+                          for info in pkgutil.iter_modules(qusync.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert len(modules) > 1 and not missing, missing
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy unimportable, the noise
     # sampler and all four commands still run
@@ -537,15 +548,17 @@ def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
 
 
 def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, capsys):
-    # near xi = 1 the null vector's state has an eigenvalue of -3.4e-9: the
-    # engine refuses it at the tolerance of the measures, inside the named point
+    # near xi = 1 the null vector's state has an eigenvalue of -6.6e-6, far
+    # outside round-off: the engine refuses it at the tolerance of the
+    # measures, inside the named point
     path = tmp_path / "near.ini"
-    path.write_text("[model]\ndelta = -1.110186416034559\ntau = 0.011684542280711438\n"
-                    "[sweep]\nxi = 0.9999999715105595\ngamma = 0.3129519833644733\n"
-                    f"j_xy = -1.9514138955455498\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    path.write_text("[model]\ndelta = 1.927770772506825\ntau = 0.09997343206523866\n"
+                    "channel = raise\n[sweep]\nxi = 0.9999999999948538\n"
+                    "gamma = 0.8543247793093437\nj_xy = -1.9743644693427593\n"
+                    f"[output]\ndirectory = {tmp_path / 'out'}\n")
     assert cli.main(["info-sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "xi=+1.000, gamma=0.313, j_xy=-1.951: " in err
+    assert "xi=+1.000, gamma=0.8543, j_xy=-1.974: " in err
     assert "negative eigenvalue" in err
 
 

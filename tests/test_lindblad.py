@@ -7,11 +7,14 @@ from qusync import lindblad as lb
 from qusync.operators import ValidationError, basis_ket, check_density_matrix, kron, pauli
 from tests.oracles import (
     bell_state,
+    collapse_ops,
     cross_dissipator_apply,
     dissipator_apply,
+    hamiltonian,
     load_matrix_csv,
     master_equation_rhs,
     rk4_final_state,
+    site_operators,
 )
 
 FIG_PARAMS = lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25, gamma=0.05, xi=0.0)
@@ -29,6 +32,12 @@ def ket_density(label):
     return np.outer(k, k.conj())
 
 
+def commutator_superoperator(h):
+    """-i[h, .] under column stacking, written out."""
+    eye = np.eye(4, dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         lb.ModelParams(gamma=-0.1)
@@ -37,36 +46,28 @@ def test_params_validation():
     assert lb.ModelParams(channel="lower").channel is lb.Channel.LOWER
 
 
-def test_hamiltonian_reference_matrix():
-    h = lb.build_hamiltonian(lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25))
-    expected = np.array(
-        [[-1.0, 0.5, 0.5, 0.0],
-         [0.5, 0.0, 0.25, 0.5],
-         [0.5, 0.25, 0.0, 0.5],
-         [0.0, 0.5, 0.5, 1.0]]
-    )
-    assert_allclose(h, expected, atol=1e-15)
-    assert np.abs(h - h.conj().T).max() < 1e-15
-
-
 def test_hamiltonian_degenerate_cases():
-    h = lb.build_hamiltonian(lb.ModelParams(delta=2.0, tau=0.0, j_xy=0.0))
-    assert_allclose(h, np.diag([-2.0, 0.0, 0.0, 2.0]), atol=1e-15)
-    h0 = lb.build_hamiltonian(lb.ModelParams(delta=0.0, tau=0.0, j_xy=0.0))
-    assert np.abs(h0).max() == 0.0
+    # the gap alone: H = diag(-2, 0, 0, 2) on every channel, and with no
+    # parameter at all the generator vanishes (test_liouvillian_zero_params)
+    for channel in lb.Channel:
+        p = lb.ModelParams(delta=2.0, tau=0.0, j_xy=0.0, gamma=0.0, channel=channel)
+        assert_allclose(lb.build_liouvillian(p),
+                        commutator_superoperator(np.diag([-2.0, 0.0, 0.0, 2.0])), atol=1e-15)
 
 
 def test_collapse_ops_silent_channels():
-    c_s, c_a = lb.build_collapse_ops(lb.ModelParams(gamma=0.05, xi=1.0))
+    # the oracle's jump operators; the generator meets them at xi = +-1 in
+    # test_liouvillian_matches_direct_rhs
+    c_s, c_a = collapse_ops(lb.ModelParams(gamma=0.05, xi=1.0))
     assert np.abs(c_a).max() == 0.0
-    c_s, c_a = lb.build_collapse_ops(lb.ModelParams(gamma=0.05, xi=-1.0))
+    c_s, c_a = collapse_ops(lb.ModelParams(gamma=0.05, xi=-1.0))
     assert np.abs(c_s).max() == 0.0
 
 
 def test_collapse_ops_frobenius_norm():
     p = lb.ModelParams(gamma=0.05, xi=0.0)
-    c_s, c_a = lb.build_collapse_ops(p)
-    s1, s2 = lb.site_operators(p)
+    c_s, c_a = collapse_ops(p)
+    s1, s2 = site_operators(p)
     for c, sign in ((c_s, 1.0), (c_a, -1.0)):
         combo = s1 + sign * s2
         expected = p.gamma * np.trace(combo.conj().T @ combo).real / 2.0
@@ -98,9 +99,9 @@ def test_cross_dissipator_identity():
     for xi in (-1.0, -0.4, 0.0, 0.4, 1.0):
         p = lb.ModelParams(gamma=0.3, xi=xi)
         rho = random_state(int(10 * xi) + 50)
-        c_s, c_a = lb.build_collapse_ops(p)
+        c_s, c_a = collapse_ops(p)
         lhs = dissipator_apply(c_s, rho) + dissipator_apply(c_a, rho)
-        s1, s2 = lb.site_operators(p)
+        s1, s2 = site_operators(p)
         d1 = dissipator_apply(np.sqrt(p.gamma) * s1, rho)
         d2 = dissipator_apply(np.sqrt(p.gamma) * s2, rho)
         rhs = d1 + d2 + xi * cross_dissipator_apply(p, rho)
@@ -112,9 +113,9 @@ def test_cross_dissipator_trivial_cases():
     assert np.abs(cross_dissipator_apply(p, random_state(3))).max() == 0.0
     p0 = lb.ModelParams(gamma=0.2, xi=0.0)
     rho = random_state(4)
-    c_s, c_a = lb.build_collapse_ops(p0)
+    c_s, c_a = collapse_ops(p0)
     combined = dissipator_apply(c_s, rho) + dissipator_apply(c_a, rho)
-    s1, s2 = lb.site_operators(p0)
+    s1, s2 = site_operators(p0)
     site_only = (dissipator_apply(np.sqrt(p0.gamma) * s1, rho)
                  + dissipator_apply(np.sqrt(p0.gamma) * s2, rho))
     assert np.abs(combined - site_only).max() < 1e-12
@@ -125,9 +126,12 @@ def test_vectorization_round_trip():
     assert_allclose(lb.unvectorize(lb.vectorize(rho)), rho, atol=0)
 
 
-def test_liouvillian_matches_direct_rhs():
-    for seed, xi, gamma in ((1, 0.0, 0.0), (2, 0.4, 0.05), (3, -0.7, 0.3)):
-        p = lb.ModelParams(xi=xi, gamma=gamma)
+@pytest.mark.parametrize("xi", [-1.0, -0.4, 0.0, 0.7, 1.0])
+@pytest.mark.parametrize("channel", list(lb.Channel))
+def test_liouvillian_matches_direct_rhs(channel, xi):
+    # each channel has its own table: every weight away from its default
+    for seed, gamma in ((1, 0.0), (2, 0.05), (3, 0.3)):
+        p = lb.ModelParams(delta=-1.3, tau=0.7, j_xy=-0.6, gamma=gamma, xi=xi, channel=channel)
         liou = lb.build_liouvillian(p)
         rho = random_state(seed)
         via_matrix = lb.unvectorize(liou @ lb.vectorize(rho))
@@ -136,12 +140,16 @@ def test_liouvillian_matches_direct_rhs():
 
 
 def test_liouvillian_pure_commutator_at_gamma_zero():
-    p = lb.ModelParams(gamma=0.0, xi=0.3)
-    liou = lb.build_liouvillian(p)
-    h = lb.build_hamiltonian(p)
-    eye = np.eye(4, dtype=complex)
-    expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    assert np.abs(liou - expected).max() < 1e-15
+    # H at delta = tau = 1, j_xy = 0.25, written out by hand
+    h = np.array(
+        [[-1.0, 0.5, 0.5, 0.0],
+         [0.5, 0.0, 0.25, 0.5],
+         [0.5, 0.25, 0.0, 0.5],
+         [0.0, 0.5, 0.5, 1.0]]
+    )
+    for channel in lb.Channel:
+        liou = lb.build_liouvillian(lb.ModelParams(gamma=0.0, xi=0.3, channel=channel))
+        assert np.abs(liou - commutator_superoperator(h)).max() < 1e-15
 
 
 def test_liouvillian_zero_params():
@@ -175,9 +183,9 @@ def test_superoperator_decomposition_identity():
     # same identity as the dissipator test, but at the 16x16 matrix level
     for xi in (-1.0, -0.4, 0.0, 0.4, 1.0):
         p = lb.ModelParams(gamma=0.3, xi=xi)
-        c_s, c_a = lb.build_collapse_ops(p)
+        c_s, c_a = collapse_ops(p)
         left = lb.dissipator_superoperator(c_s) + lb.dissipator_superoperator(c_a)
-        s1, s2 = lb.site_operators(p)
+        s1, s2 = site_operators(p)
         right = (lb.dissipator_superoperator(np.sqrt(p.gamma) * s1)
                  + lb.dissipator_superoperator(np.sqrt(p.gamma) * s2))
         cross = np.zeros_like(left)
@@ -374,8 +382,8 @@ def test_steady_state_rearranged_balance():
     # by -xi times the cross dissipator
     p = lb.ModelParams(xi=0.6, gamma=0.3)
     rho = lb.steady_state(p)
-    h = lb.build_hamiltonian(p)
-    s1, s2 = lb.site_operators(p)
+    h = hamiltonian(p)
+    s1, s2 = site_operators(p)
     lhs = -1j * (h @ rho - rho @ h)
     lhs += dissipator_apply(np.sqrt(p.gamma) * s1, rho)
     lhs += dissipator_apply(np.sqrt(p.gamma) * s2, rho)
@@ -410,10 +418,10 @@ def test_singlet_dark_and_stationary_at_full_correlation(channel):
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     for j_xy in (-1.0, 0.0, 0.25, 1.0):
         p = lb.ModelParams(j_xy=j_xy, gamma=0.05, xi=1.0, channel=channel)
-        c_s, c_a = lb.build_collapse_ops(p)
+        c_s, c_a = collapse_ops(p)
         assert np.abs(c_a).max() == 0.0
         assert np.abs(c_s @ singlet).max() < 1e-15
-        h = lb.build_hamiltonian(p)
+        h = hamiltonian(p)
         assert np.abs(h @ singlet + j_xy * singlet).max() < 1e-15
     res = lb.evolve(p, ket_density("10"), t_final=50.0, dt=0.1)
     weight = np.einsum("i,nij,j->n", singlet.conj(), res.states, singlet).real

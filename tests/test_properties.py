@@ -28,11 +28,17 @@ SLOW_DECAY = lb.ModelParams(delta=-1.0, tau=1e-3, j_xy=-3.75, gamma=2.0**-8, xi=
 # cancels unless its phase is turned first.
 IMAGINARY_NULL_VECTOR = lb.ModelParams(delta=0.0, tau=1.9629333540090837e-171, j_xy=0.0,
                                        gamma=1.0, xi=0.0)
-# The null vector's state has an eigenvalue of -3.4e-9: an engine check at
-# 1e-8 passed it, and every measure refused it at 1e-10.
+# The null vector's state has an eigenvalue of -3.4e-9 or of -1e-17, by the
+# last bits of the generator: an engine check at 1e-8 passed the former, and
+# every measure refused it at 1e-10.
 NEAR_UNIT_CORRELATION = lb.ModelParams(delta=-1.110186416034559, tau=0.011684542280711438,
                                        j_xy=-1.9514138955455498, gamma=0.3129519833644733,
                                        xi=0.9999999715105595)
+# Its state has an eigenvalue of -6.6e-6, far outside round-off: the engine
+# refuses it.
+REFUSED_NEAR_UNIT_CORRELATION = lb.ModelParams(
+    delta=1.927770772506825, tau=0.09997343206523866, j_xy=-1.9743644693427593,
+    gamma=0.8543247793093437, xi=0.9999999999948538)
 
 
 def ket_density(label):
@@ -82,6 +88,7 @@ def test_reported_long_time_state_is_a_fixed_point(p):
 @PROPERTY
 @given(params)
 @example(NEAR_UNIT_CORRELATION)
+@example(REFUSED_NEAR_UNIT_CORRELATION)
 def test_every_measure_accepts_a_reported_state(p):
     # the engine refuses a state, or every measure accepts it: one verdict
     try:
