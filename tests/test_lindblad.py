@@ -46,6 +46,21 @@ def test_params_validation():
     assert lb.ModelParams(channel="lower").channel is lb.Channel.LOWER
 
 
+def test_hamiltonian_reference_matrix():
+    # H at delta = tau = 1, j_xy = 0.25, written out by hand; it pins both the
+    # oracle's H and the generator's commutator part on every channel
+    h = np.array(
+        [[-1.0, 0.5, 0.5, 0.0],
+         [0.5, 0.0, 0.25, 0.5],
+         [0.5, 0.25, 0.0, 0.5],
+         [0.0, 0.5, 0.5, 1.0]]
+    )
+    assert_allclose(hamiltonian(lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25)), h, atol=1e-15)
+    for channel in lb.Channel:
+        p = lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25, gamma=0.0, channel=channel)
+        assert np.abs(lb.build_liouvillian(p) - commutator_superoperator(h)).max() < 1e-15
+
+
 def test_hamiltonian_degenerate_cases():
     # the gap alone: H = diag(-2, 0, 0, 2) on every channel, and with no
     # parameter at all the generator vanishes (test_liouvillian_zero_params)
@@ -140,16 +155,10 @@ def test_liouvillian_matches_direct_rhs(channel, xi):
 
 
 def test_liouvillian_pure_commutator_at_gamma_zero():
-    # H at delta = tau = 1, j_xy = 0.25, written out by hand
-    h = np.array(
-        [[-1.0, 0.5, 0.5, 0.0],
-         [0.5, 0.0, 0.25, 0.5],
-         [0.5, 0.25, 0.0, 0.5],
-         [0.0, 0.5, 0.5, 1.0]]
-    )
     for channel in lb.Channel:
-        liou = lb.build_liouvillian(lb.ModelParams(gamma=0.0, xi=0.3, channel=channel))
-        assert np.abs(liou - commutator_superoperator(h)).max() < 1e-15
+        p = lb.ModelParams(gamma=0.0, xi=0.3, channel=channel)
+        liou = lb.build_liouvillian(p)
+        assert np.abs(liou - commutator_superoperator(hamiltonian(p))).max() < 1e-15
 
 
 def test_liouvillian_zero_params():
