@@ -247,6 +247,8 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     at ``atol=STATE_ATOL``; a violation raises its ``ValidationError``,
     which names the first offending step, e.g. ``step 7 is not Hermitian (max
     deviation nan)``.  The observables are ``s{x,y,z}{1,2}`` and the purity.
+    A step count whose states numpy cannot size raises ``ValidationError``
+    naming it, ``t_final`` and ``dt``, before anything is allocated.
     """
     require_finite(dt=dt, t_final=t_final)
     if dt <= 0.0:
@@ -255,8 +257,12 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
         raise ValidationError(f"t_final must be >= dt, got {t_final}")
     rho0 = check_density_matrix(rho0, name="rho0")
     lm = build_liouvillian(p)
-    n_steps = int(round(t_final / dt))
-    vecs = np.empty((n_steps + 1, 16), dtype=complex)
+    try:
+        n_steps = int(round(t_final / dt))
+        vecs = np.empty((n_steps + 1, 16), dtype=complex)
+    except (OverflowError, ValueError) as exc:  # inf steps, or an array numpy cannot size
+        raise ValidationError(f"{t_final / dt:.3g} steps (t_final = {t_final}, dt = {dt}) "
+                              f"are too many to store") from exc
     v = vectorize(rho0)
     vecs[0] = v
     # powers[j] = P^(j+1) for the one-step propagator P = exp(L dt)

@@ -8,13 +8,17 @@ under version control.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
+
+from .operators import require_finite
 
 __all__ = ["line_plot", "heatmap"]
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 40, 52
+PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
            "#9467bd", "#8c564b", "#e377c2", "#17becf"]
@@ -80,7 +84,8 @@ class _Canvas:
         ]
 
     def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
+        if fragment:  # an empty one would write a blank line
+            self.parts.append(fragment)
 
     def write(self, path) -> None:
         self.parts.append("</svg>")
@@ -89,7 +94,15 @@ class _Canvas:
 
 
 def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi, xscale: str):
+    """Draw the frame and the ticks of data in [x_lo, x_hi] x [y_lo, y_hi].
+    Return ``to_px(x, y)``, the one map from data to pixels, of arrays or
+    scalars, and ``column(x)``, the pixel columns that decimation groups by."""
+    x_min = x_lo  # in data units: on a log axis x_lo becomes its log10
+    axis_x = np.asarray
     if xscale == "log":
+        # math.log10 per value: np.log10 differs from it in the last bit on
+        # some values, which could move a pixel
+        axis_x = np.vectorize(math.log10, otypes=[float])
         x_lo, x_hi = math.log10(x_lo), math.log10(x_hi)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
@@ -99,44 +112,31 @@ def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi, xscale: str):
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def to_px(x, y):
-        px = MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
-        py = HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
-        return px, py
-
-    canvas.add(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
-        f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>'
-    )
-    if xscale == "log":
-        lo_dec, hi_dec = math.ceil(x_lo - 1e-9), math.floor(x_hi + 1e-9)
-        xticks = [(10.0 ** d, f"1e{d}") for d in range(lo_dec, hi_dec + 1)]
-        xticks = [(math.log10(v), lab) for v, lab in xticks]
-    else:
-        xticks = [(v, _fmt(v)) for v in _ticks(x_lo, x_hi)]
-    for xv, lab in xticks:
-        px, _ = to_px(xv, y_lo)
-        y0 = HEIGHT - MARGIN_B
-        canvas.add(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
-        canvas.add(
-            f'<text x="{px:.2f}" y="{y0 + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{lab}</text>'
-        )
-    for yv in _ticks(y_lo, y_hi):
-        _, py = to_px(x_lo, yv)
-        canvas.add(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        canvas.add(
-            f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_fmt(yv)}</text>'
-        )
-    scale = (WIDTH - MARGIN_L - MARGIN_R) / (x_hi - x_lo)
+        return (MARGIN_L + (axis_x(x) - x_lo) / (x_hi - x_lo) * PLOT_W,
+                HEIGHT - MARGIN_B - (np.asarray(y) - y_lo) / (y_hi - y_lo) * PLOT_H)
 
     def column(x):
-        """Pixel column of each x in an array (for decimation only)."""
-        x = np.log10(x) if xscale == "log" else x
-        return np.floor((x - x_lo) * scale).astype(np.int64)
+        return np.floor((axis_x(x) - x_lo) * (PLOT_W / (x_hi - x_lo))).astype(np.int64)
 
+    canvas.add(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
+               f'height="{PLOT_H}" fill="none" stroke="black"/>')
     if xscale == "log":
-        return lambda x, y: to_px(math.log10(x), y), column
+        decades = range(math.ceil(x_lo - 1e-9), math.floor(x_hi + 1e-9) + 1)
+        xticks, xlabels = [10.0 ** d for d in decades], [f"1e{d}" for d in decades]
+    else:
+        xticks = _ticks(x_lo, x_hi)
+        xlabels = [_fmt(v) for v in xticks]
+    y0 = HEIGHT - MARGIN_B
+    px = to_px(xticks, y_lo)[0]
+    canvas.add(_each(f'<line x1="%.2f" y1="{y0}" x2="%.2f" y2="{y0 + 5}" stroke="black"/>\n'
+                     f'<text x="%.2f" y="{y0 + 18}" font-family="sans-serif" font-size="11" '
+                     f'text-anchor="middle">%s</text>', "\n", px, px, px, xlabels))
+    yticks = _ticks(y_lo, y_hi)
+    py = to_px(x_min, yticks)[1]
+    canvas.add(_each(f'<line x1="{MARGIN_L - 5}" y1="%.2f" x2="{MARGIN_L}" y2="%.2f" stroke="black"/>\n'
+                     f'<text x="{MARGIN_L - 8}" y="%.2f" font-family="sans-serif" '
+                     f'font-size="11" text-anchor="end">%s</text>', "\n",
+                     py, py, py + 4, [_fmt(v) for v in yticks]))
     return to_px, column
 
 
@@ -158,6 +158,13 @@ def _m4(column, y) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _each(template: str, sep: str, *columns) -> str:
+    """``template`` filled from each row of ``columns`` and joined by ``sep``,
+    in one format pass over Python values."""
+    rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
+    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
+
+
 def line_plot(
     path,
     curves,
@@ -175,42 +182,42 @@ def line_plot(
     (x, y_low, y_high) shaded regions drawn behind the curves.  A line or
     dash curve whose x never decreases keeps only the first, last, lowest
     and highest point of each pixel column; with at most one point per
-    column that is every point.
+    column that is every point.  Non-finite data raise
+    :class:`~qusync.operators.ValidationError` naming the curve or band.
     """
-    bands = bands or []
-    xs = [np.asarray(c[1], dtype=float) for c in curves] + [
-        np.asarray(b[0], dtype=float) for b in bands]
-    ys = [np.asarray(c[2], dtype=float) for c in curves] + [
-        np.asarray(v, dtype=float) for b in bands for v in b[1:]]
+    curves = [(c[0], np.asarray(c[1], dtype=float), np.asarray(c[2], dtype=float),
+               c[3] if len(c) > 3 else "line") for c in curves]
+    bands = [[np.asarray(v, dtype=float) for v in b] for b in bands or []]
+    for label, x, y, _ in curves:
+        require_finite(**{f"curve {label!r}": np.concatenate([x, y])})
+    for k, band in enumerate(bands):
+        require_finite(**{f"band {k}": np.concatenate(band)})
+    xs = [c[1] for c in curves] + [b[0] for b in bands]
+    ys = [c[2] for c in curves] + [v for b in bands for v in b[1:]]
     if not sum(x.size for x in xs):
         raise ValueError("nothing to plot")
     xs, ys = np.concatenate(xs), np.concatenate(ys)
     canvas = _Canvas(title, xlabel, ylabel)
-    to_px, column = _axes(canvas, xs.min(), xs.max(), ys.min(), ys.max(), xscale)
+    to_px, column = _axes(canvas, float(xs.min()), float(xs.max()),
+                          float(ys.min()), float(ys.max()), xscale)
 
     for bx, blo, bhi in bands:
-        pts = [to_px(x, y) for x, y in zip(bx, bhi)]
-        pts += [to_px(x, y) for x, y in zip(reversed(list(bx)), reversed(list(blo)))]
-        joined = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
-        canvas.add(f'<polygon points="{joined}" fill="#cccccc" fill-opacity="0.5" stroke="none"/>')
+        pts = to_px(np.concatenate([bx, bx[::-1]]), np.concatenate([bhi, blo[::-1]]))
+        canvas.add(f'<polygon points="{_each("%.2f,%.2f", " ", *pts)}" '
+                   f'fill="#cccccc" fill-opacity="0.5" stroke="none"/>')
 
-    for idx, curve in enumerate(curves):
-        label, cx, cy = curve[0], curve[1], curve[2]
-        style = curve[3] if len(curve) > 3 else "line"
+    for idx, (label, x, y, style) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        if style in ("line", "dash") and len(cx) > 1:
-            x = np.asarray(cx, dtype=float)
-            if (np.diff(x) >= 0).all():
-                keep = _m4(column(x), np.asarray(cy, dtype=float))
-                cx, cy = [cx[i] for i in keep], [cy[i] for i in keep]
-        pts = [to_px(x, y) for x, y in zip(cx, cy)]
         if style in ("line", "dash"):
-            joined = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+            if x.size > 1 and (np.diff(x) >= 0).all():
+                keep = _m4(column(x), y)
+                x, y = x[keep], y[keep]
             dash = ' stroke-dasharray="6,4"' if style == "dash" else ""
-            canvas.add(f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
+            canvas.add(f'<polyline points="{_each("%.2f,%.2f", " ", *to_px(x, y))}" '
+                       f'fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
         else:
-            for px, py in pts:
-                canvas.add(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.2" fill="{color}" fill-opacity="0.6"/>')
+            canvas.add(_each(f'<circle cx="%.2f" cy="%.2f" r="2.2" fill="{color}" '
+                             f'fill-opacity="0.6"/>', "\n", *to_px(x, y)))
         if label:
             ly = MARGIN_T + 16 + 15 * idx
             lx = WIDTH - MARGIN_R - 150
@@ -232,18 +239,12 @@ def heatmap(path, x_vals, y_vals, z, *, title="", xlabel="", ylabel="") -> None:
     z_hi = max(max(row) for row in z)
     span = (z_hi - z_lo) or 1.0
     canvas = _Canvas(title, xlabel, ylabel)
-    plot_w = WIDTH - MARGIN_L - MARGIN_R - 70  # reserve room for the colorbar
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    cell_w, cell_h = plot_w / n_x, plot_h / n_y
-    for i in range(n_x):
-        for j in range(n_y):
-            frac = (z[i][j] - z_lo) / span
-            px = MARGIN_L + i * cell_w
-            py = HEIGHT - MARGIN_B - (j + 1) * cell_h
-            canvas.add(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{_color(frac)}"/>'
-            )
+    cell_w, cell_h = (PLOT_W - 70) / n_x, PLOT_H / n_y  # 70 px for the colorbar
+    ix, iy = np.divmod(np.arange(n_x * n_y), n_y)  # cell (i, j), i-major
+    fills = [_color((z[i][j] - z_lo) / span) for i, j in zip(ix.tolist(), iy.tolist())]
+    canvas.add(_each(f'<rect x="%.2f" y="%.2f" width="{cell_w + 0.5:.2f}" '
+                     f'height="{cell_h + 0.5:.2f}" fill="%s"/>', "\n",
+                     MARGIN_L + ix * cell_w, HEIGHT - MARGIN_B - (iy + 1) * cell_h, fills))
     for i in (0, n_x - 1):
         px = MARGIN_L + (i + 0.5) * cell_w
         canvas.add(
@@ -258,20 +259,12 @@ def heatmap(path, x_vals, y_vals, z, *, title="", xlabel="", ylabel="") -> None:
         )
     bar_x = WIDTH - MARGIN_R - 46
     n_seg = 24
-    seg_h = plot_h / n_seg
-    for k in range(n_seg):
-        frac = (k + 0.5) / n_seg
-        py = HEIGHT - MARGIN_B - (k + 1) * seg_h
-        canvas.add(
-            f'<rect x="{bar_x}" y="{py:.2f}" width="14" height="{seg_h + 0.5:.2f}" '
-            f'fill="{_color(frac)}"/>'
-        )
-    canvas.add(
-        f'<text x="{bar_x + 18}" y="{HEIGHT - MARGIN_B + 4}" font-family="sans-serif" '
-        f'font-size="10">{_fmt(z_lo)}</text>'
-    )
-    canvas.add(
-        f'<text x="{bar_x + 18}" y="{MARGIN_T + 10}" font-family="sans-serif" '
-        f'font-size="10">{_fmt(z_hi)}</text>'
-    )
+    seg_h = PLOT_H / n_seg
+    seg = np.arange(n_seg)
+    canvas.add(_each(f'<rect x="{bar_x}" y="%.2f" width="14" height="{seg_h + 0.5:.2f}" '
+                     f'fill="%s"/>', "\n", HEIGHT - MARGIN_B - (seg + 1) * seg_h,
+                     [_color(frac) for frac in ((seg + 0.5) / n_seg).tolist()]))
+    for y, z_end in ((HEIGHT - MARGIN_B + 4, z_lo), (MARGIN_T + 10, z_hi)):
+        canvas.add(f'<text x="{bar_x + 18}" y="{y}" font-family="sans-serif" '
+                   f'font-size="10">{_fmt(z_end)}</text>')
     canvas.write(path)

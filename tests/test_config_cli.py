@@ -301,6 +301,20 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "xi=+0.000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "sync-sweep"])
+@pytest.mark.parametrize("t_final, dt, steps", [("1e12", "1e-6", "1e+18"),
+                                                 ("1e300", "1e-300", "inf")])
+def test_too_many_steps_exit_two_naming_the_count(tmp_path, capsys, command, t_final, dt, steps):
+    # numpy refuses to size 1e18 steps, and 1e300 / 1e-300 is inf: nothing is allocated
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[evolution]\nt_final = {t_final}\ndt = {dt}\n[sweep]\nxi = 0.3\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert (f"evolution failed at xi=+0.300: {steps} steps "
+            f"(t_final = {float(t_final)}, dt = {float(dt)})") in err
+
+
 def _load_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]

@@ -4,6 +4,7 @@ import re
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 
 from qusync import svgplot
 
@@ -54,11 +55,16 @@ def test_decimation_keeps_every_point_without_monotone_x(tmp_path):
 
 def test_sparse_line_plot_bytes_unchanged(tmp_path):
     # 21-point curves have at most one point per pixel column, so decimation
-    # keeps them whole; the digests are of the output before it existed.
+    # keeps them whole; their digests are of the output before it existed.
+    # The 20001-point case pins the decimated path that evolve draws.
     xi = [-1.0 + 0.1 * k for k in range(21)]
     gamma = [10 ** (-2 + 2 * k / 20) for k in range(21)]
     mi = [0.3 / (1 + g) for g in gamma]
     dq = [0.1 / (1 + g) for g in gamma]
+    # built with math, so that no CPU-dispatched numpy kernel can move a value
+    t = np.linspace(0.0, 200.0, 20001)
+    sz1 = [0.25 + 0.75 * math.exp(-0.01 * v) * math.cos(1.03 * v) for v in t.tolist()]
+    sz2 = [-0.25 - 0.75 * math.exp(-0.012 * v) * math.cos(0.97 * v + 0.2) for v in t.tolist()]
     cases = {
         "b5b650aaee64feb1beccd0e2c0d6226d7073b2efb4f5906d901e690817376a65": dict(
             curves=[("delta phi", xi, [math.sin(3 * x) for x in xi])],
@@ -68,6 +74,9 @@ def test_sparse_line_plot_bytes_unchanged(tmp_path):
                     ("pts", gamma, dq, "markers")],
             bands=[(gamma, dq, mi)], xscale="log",
             title="total vs quantum", xlabel="gamma", ylabel="bits"),
+        "2f05bd1ffd73cbeaef9469c463daef8c4b13ee496c0ff7fa31770da80fd2090d": dict(
+            curves=[("<sz1>", t, sz1), ("<sz2>", t, sz2)],
+            title="magnetization, xi = +0.30", xlabel="t", ylabel="<sz>"),
     }
     for digest, kwargs in cases.items():
         path = tmp_path / "plot.svg"
@@ -78,3 +87,15 @@ def test_sparse_line_plot_bytes_unchanged(tmp_path):
 def test_escape_matches_saxutils():
     for text in ['&<>"\'', "<sz1>", "a && b <= c > d", "&amp;", "plain", ""]:
         assert svgplot._escape(text) == escape(text)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_is_refused_naming_the_curve(tmp_path, bad):
+    x = [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="curve 'sz2' must be finite"):
+        svgplot.line_plot(tmp_path / "x.svg", [("sz1", x, x), ("sz2", x, [0.0, bad, 1.0])])
+    with pytest.raises(ValueError, match="curve 'dots' must be finite"):
+        svgplot.line_plot(tmp_path / "x.svg", [("dots", [0.0, bad], [1.0, 2.0], "markers")])
+    with pytest.raises(ValueError, match="band 0 must be finite"):
+        svgplot.line_plot(tmp_path / "x.svg", [("I", x, x)], bands=[(x, x, [1.0, 2.0, bad])])
+    assert not (tmp_path / "x.svg").exists()
