@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``evolve``, ``sync-sweep``, ``info-sweep``, ``discord-bench``.
-Exit codes: 0 on success, 1 on configuration errors, 2 on numerical failures
-(the failing grid point is named on stderr).
+Exit codes: 0 on success, 1 on configuration errors and on output files that
+cannot be written, 2 on numerical failures (the failing grid point is named
+on stderr).
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def main(argv=None) -> int:
         written = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command writes
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except (NumericalFailure, ValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -4,9 +4,10 @@ Each command takes a resolved :class:`~qusync.config.ExperimentConfig`,
 writes CSV datasets plus standalone SVG plots into the output directory, and
 returns the list of files it produced.  Points run through an optional
 process pool, which returns results in input order.  ``evolve`` writes each
-xi's files as its trajectory completes and then drops it; the sweeps collect
-all rows and sort them by axis values before writing.  Either way, output
-files are byte-identical for identical config and seed.
+xi's files as its trajectory completes and then drops it; the sweeps build
+their points in the order their CSV lists them (sorted axis values) and
+collect all rows before writing.  Either way, output files are
+byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
-from .lindblad import DegenerateSteadyStateError, ModelParams, NoSteadyStateError
+from .lindblad import DegenerateSteadyStateError, NoSteadyStateError
 from .operators import ValidationError, basis_ket, save_matrix_csv, write_csv
 
 __all__ = [
@@ -51,15 +52,6 @@ def _map_points(fn, items, workers: int):
 def _initial_state(cfg: ExperimentConfig) -> np.ndarray:
     ket = basis_ket(cfg.initial_state)
     return np.outer(ket, ket.conj())
-
-
-def _model_at(cfg: ExperimentConfig, xi: float, gamma=None, j_xy=None) -> ModelParams:
-    updates = {"xi": float(xi) + 0.0}
-    if gamma is not None:
-        updates["gamma"] = float(gamma)
-    if j_xy is not None:
-        updates["j_xy"] = float(j_xy)
-    return replace(cfg.model, **updates)
 
 
 def _tag(name: str, value: float) -> str:
@@ -97,8 +89,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
     cfg, xi = args
     try:
-        result = lindblad.evolve(_model_at(cfg, xi), _initial_state(cfg),
-                                 cfg.t_final, cfg.dt)
+        result = lindblad.evolve(replace(cfg.model, xi=float(xi) + 0.0),
+                                 _initial_state(cfg), cfg.t_final, cfg.dt)
     except (ValidationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"evolution failed at xi={xi:+.3f}: {exc}") from exc
     # callers read only times and observables, so the states are not sent back
@@ -144,8 +136,8 @@ def _sync_point(args) -> tuple[float, float, float, float, float]:
 def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Phase shift and phase-locking value versus bath correlation."""
     out = _out_dir(cfg)
-    rows = sorted(_map_points(_sync_point, [(cfg, xi) for xi in cfg.xi_values],
-                              cfg.workers), key=lambda r: r[0])
+    rows = list(_map_points(_sync_point, [(cfg, xi) for xi in sorted(cfg.xi_values)],
+                            cfg.workers))
     csv_path = out / "sync_sweep.csv"
     phaselock.save_metrics_csv(csv_path, rows)
     xis = [r[0] for r in rows]
@@ -166,7 +158,7 @@ def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
 
 def _info_point(args):
     cfg, j_xy, xi, gamma = args
-    params = _model_at(cfg, xi, gamma=gamma, j_xy=j_xy)
+    params = replace(cfg.model, xi=float(xi) + 0.0, gamma=float(gamma), j_xy=float(j_xy))
     flag = ""
     try:
         try:
@@ -200,10 +192,9 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
         # each j_xy gets its own plots
         _refuse_shared_tags(_plot_tag, j_xy=cfg.jxy_values)
     out = _out_dir(cfg)
-    points = [(cfg, j, x, g) for j, x, g
-              in product(cfg.jxy_values, cfg.xi_values, cfg.gamma_values)]
-    rows = sorted(_map_points(_info_point, points, cfg.workers),
-                  key=lambda r: (r["xi"], r["gamma"], r["jxy"]))
+    xis, gammas, jxys = sorted(cfg.xi_values), sorted(cfg.gamma_values), sorted(cfg.jxy_values)
+    points = [(cfg, j, x, g) for x, g, j in product(xis, gammas, jxys)]
+    rows = list(_map_points(_info_point, points, cfg.workers))
 
     csv_path = out / "info_sweep.csv"
     header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
@@ -218,30 +209,26 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
             save_matrix_csv(out / name, r["rho_ss"])
             written.append(out / name)
 
-    by_j = {}
-    for r in rows:
-        by_j.setdefault(r["jxy"], []).append(r)
-    xi_list, gamma_list = sorted(cfg.xi_values), sorted(cfg.gamma_values)
+    # both measures on the grid, indexed [xi, gamma, j_xy] in sorted order
+    shape = (len(xis), len(gammas), len(jxys))
+    mi, dq = (np.reshape([r[name] for r in rows], shape)
+              for name in ("mutual_info", "degree_of_quantumness"))
     unit_name = cfg.unit.value
-    for j_xy, group in sorted(by_j.items()):
-        lookup = {(r["xi"], r["gamma"]): r for r in group}
-        if len(xi_list) > 1 and len(gamma_list) > 1:
-            z = [[lookup[(x, g)]["mutual_info"] for g in gamma_list] for x in xi_list]
+    picks = sorted({0, min(range(len(xis)), key=lambda i: abs(xis[i])), len(xis) - 1})
+    for k, j_xy in enumerate(jxys):
+        if len(xis) > 1 and len(gammas) > 1:
             hpath = out / f"info_heatmap_{_plot_tag('j_xy', j_xy)}.svg"
-            svgplot.heatmap(hpath, xi_list, gamma_list, z,
+            svgplot.heatmap(hpath, xis, gammas, mi[:, :, k],
                             title=f"mutual information ({unit_name}), j_xy = {j_xy:+.2f}",
                             xlabel="xi", ylabel="gamma")
             written.append(hpath)
-        if len(gamma_list) > 1:
-            picks = sorted({min(xi_list), min(xi_list, key=abs), max(xi_list)})
+        if len(gammas) > 1:
             curves, bands = [], []
-            for xi in picks:
-                mi = [lookup[(xi, g)]["mutual_info"] for g in gamma_list]
-                dq = [lookup[(xi, g)]["degree_of_quantumness"] for g in gamma_list]
-                curves.append((f"I, xi={xi:+.2f}", gamma_list, mi, "line"))
-                curves.append((f"D, xi={xi:+.2f}", gamma_list, dq, "dash"))
-                bands.append((gamma_list, dq, mi))
-            xscale = "log" if min(gamma_list) > 0 else "linear"
+            for i in picks:
+                curves.append((f"I, xi={xis[i]:+.2f}", gammas, mi[i, :, k], "line"))
+                curves.append((f"D, xi={xis[i]:+.2f}", gammas, dq[i, :, k], "dash"))
+                bands.append((gammas, dq[i, :, k], mi[i, :, k]))
+            xscale = "log" if min(gammas) > 0 else "linear"
             lpath = out / f"info_lines_{_plot_tag('j_xy', j_xy)}.svg"
             svgplot.line_plot(lpath, curves, bands=bands, xscale=xscale,
                               title=f"total vs quantum correlation, j_xy = {j_xy:+.2f}",
@@ -266,18 +253,16 @@ def _discord_point(args):
 def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     """Random-state benchmark of discord and the quantumness upper bound on it."""
     out = _out_dir(cfg)
-    points = [(cfg, rank, i) for rank in cfg.ranks for i in range(cfg.n_states)]
-    rows = sorted(_map_points(_discord_point, points, cfg.workers),
-                  key=lambda r: (r[1], r[0]))
+    ranks, n = sorted(cfg.ranks), cfg.n_states
+    points = [(cfg, rank, i) for rank in ranks for i in range(n)]
+    rows = list(_map_points(_discord_point, points, cfg.workers))
     csv_path = out / "discord_bench.csv"
     qinfo.save_discord_csv(csv_path, rows)
     written = [csv_path]
 
-    by_rank = {}
-    for r in rows:
-        by_rank.setdefault(r[1], []).append(r)
-    rank2 = by_rank.get(2)
-    if rank2:
+    groups = [rows[k * n:(k + 1) * n] for k in range(len(ranks))]  # one slice per rank
+    if 2 in ranks:
+        rank2 = groups[ranks.index(2)]
         p2 = out / "discord_rank2.svg"
         svgplot.line_plot(
             p2, [("rank 2", [r[2] for r in rank2], [r[4] for r in rank2], "markers")],
@@ -289,7 +274,7 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     svgplot.line_plot(
         pall,
         [(f"rank {rank}", [r[2] for r in group], [r[4] for r in group], "markers")
-         for rank, group in sorted(by_rank.items())],
+         for rank, group in zip(ranks, groups)],
         title="discord vs purity, mixed ranks",
         xlabel="purity", ylabel=f"discord ({cfg.unit.value})",
     )
@@ -299,7 +284,7 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     svgplot.line_plot(
         pq,
         [(f"rank {rank}", [r[4] for r in group], [r[6] for r in group], "markers")
-         for rank, group in sorted(by_rank.items())]
+         for rank, group in zip(ranks, groups)]
         + [("equality", [0.0, dmax], [0.0, dmax], "line")],
         title="quantumness upper bound vs discord",
         xlabel=f"discord ({cfg.unit.value})", ylabel=f"I - I_diag ({cfg.unit.value})",

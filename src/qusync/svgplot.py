@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .operators import require_finite
+from .operators import ValidationError, require_finite
 
 __all__ = ["line_plot", "heatmap"]
 
@@ -182,16 +182,20 @@ def line_plot(
     (x, y_low, y_high) shaded regions drawn behind the curves.  A line or
     dash curve whose x never decreases keeps only the first, last, lowest
     and highest point of each pixel column; with at most one point per
-    column that is every point.  Non-finite data raise
-    :class:`~qusync.operators.ValidationError` naming the curve or band.
+    column that is every point.  Non-finite data, and a curve or band whose
+    arrays differ in shape, raise :class:`~qusync.operators.ValidationError`
+    naming the curve or band.
     """
     curves = [(c[0], np.asarray(c[1], dtype=float), np.asarray(c[2], dtype=float),
                c[3] if len(c) > 3 else "line") for c in curves]
     bands = [[np.asarray(v, dtype=float) for v in b] for b in bands or []]
-    for label, x, y, _ in curves:
-        require_finite(**{f"curve {label!r}": np.concatenate([x, y])})
-    for k, band in enumerate(bands):
-        require_finite(**{f"band {k}": np.concatenate(band)})
+    named = [(f"curve {c[0]!r}", c[1:3]) for c in curves]
+    named += [(f"band {k}", b) for k, b in enumerate(bands)]
+    for name, arrays in named:
+        if len({v.shape for v in arrays}) > 1:
+            raise ValidationError(f"{name} has arrays of different shapes: "
+                                  f"{', '.join(str(v.shape) for v in arrays)}")
+        require_finite(**{name: np.concatenate(arrays)})
     xs = [c[1] for c in curves] + [b[0] for b in bands]
     ys = [c[2] for c in curves] + [v for b in bands for v in b[1:]]
     if not sum(x.size for x in xs):
@@ -231,17 +235,25 @@ def line_plot(
 
 def heatmap(path, x_vals, y_vals, z, *, title="", xlabel="", ylabel="") -> None:
     """Cell-per-point heatmap of z[i, j] over x_vals[i] (horizontal) and
-    y_vals[j] (vertical), with an inline colorbar."""
+    y_vals[j] (vertical), with an inline colorbar.  ``z`` must be finite and
+    of shape ``(len(x_vals), len(y_vals))``; otherwise
+    :class:`~qusync.operators.ValidationError` is raised, naming ``z``."""
     n_x, n_y = len(x_vals), len(y_vals)
     if n_x == 0 or n_y == 0:
         raise ValueError("empty heatmap axes")
-    z_lo = min(min(row) for row in z)
-    z_hi = max(max(row) for row in z)
+    try:
+        z = np.asarray(z, dtype=float)
+    except ValueError as exc:  # rows of different lengths
+        raise ValidationError(f"z must have shape {(n_x, n_y)}: {exc}") from exc
+    if z.shape != (n_x, n_y):
+        raise ValidationError(f"z must have shape {(n_x, n_y)}, got {z.shape}")
+    require_finite(z=z)
+    z_lo, z_hi = float(z.min()), float(z.max())
     span = (z_hi - z_lo) or 1.0
     canvas = _Canvas(title, xlabel, ylabel)
     cell_w, cell_h = (PLOT_W - 70) / n_x, PLOT_H / n_y  # 70 px for the colorbar
     ix, iy = np.divmod(np.arange(n_x * n_y), n_y)  # cell (i, j), i-major
-    fills = [_color((z[i][j] - z_lo) / span) for i, j in zip(ix.tolist(), iy.tolist())]
+    fills = [_color(frac) for frac in ((z.ravel() - z_lo) / span).tolist()]
     canvas.add(_each(f'<rect x="%.2f" y="%.2f" width="{cell_w + 0.5:.2f}" '
                      f'height="{cell_h + 0.5:.2f}" fill="%s"/>', "\n",
                      MARGIN_L + ix * cell_w, HEIGHT - MARGIN_B - (iy + 1) * cell_h, fills))

@@ -251,6 +251,15 @@ def test_unusable_out_dir_exits_one(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_unwritable_output_file_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, "[evolution]\nt_final = 2\ndt = 0.01\n[sweep]\nxi = 0.3\n")
+    out = tmp_path / "out"
+    (out / "sync_sweep.csv").mkdir(parents=True)
+    assert cli.main(["sync-sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out / 'sync_sweep.csv'}: Is a directory\n"
+
+
 @pytest.mark.parametrize("command, sweep, values", [
     ("evolve", "[sweep]\nxi = 0.1234, 0.1231\n", ("0.1234", "0.1231")),
     ("evolve", "[sweep]\nxi = -0.0, 0.0\n", ("-0.0", "0.0")),
@@ -411,6 +420,25 @@ def test_cli_unit_override_scales_entropies(tmp_path):
             assert mi_nats == pytest.approx(mi_bits * np.log(2.0), rel=1e-9)
             picked = True
     assert picked
+
+
+def test_sweep_outputs_do_not_depend_on_config_order(tmp_path):
+    # each sweep lists its rows, files and plot curves in sorted axis order
+    orders = {  # xi, gamma, j_xy, ranks
+        "sorted": ("-0.5, 0.0, 0.5", "0.1, 0.3", "-1.0, 1.0", "2, 3"),
+        "shuffled": ("0.5, -0.5, 0.0", "0.3, 0.1", "1.0, -1.0", "3, 2"),
+    }
+    written = {}
+    for name, lists in orders.items():
+        text = ("[evolution]\nt_final = 4\n[output]\nsave_states = true\n"
+                "[sweep]\nxi = %s\ngamma = %s\nj_xy = %s\n[discord]\nranks = %s\nn_states = 2\n")
+        path = write_config(tmp_path, text % lists, name=f"{name}.ini")
+        out = tmp_path / name
+        for command in ("sync-sweep", "info-sweep", "discord-bench"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(written["sorted"]) == 24
+    assert written["shuffled"] == written["sorted"]
 
 
 def test_cli_outputs_deterministic(tmp_path):

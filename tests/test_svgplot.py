@@ -99,3 +99,43 @@ def test_non_finite_data_is_refused_naming_the_curve(tmp_path, bad):
     with pytest.raises(ValueError, match="band 0 must be finite"):
         svgplot.line_plot(tmp_path / "x.svg", [("I", x, x)], bands=[(x, x, [1.0, 2.0, bad])])
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_mismatched_plot_data_is_refused_naming_it(tmp_path):
+    x3, y2 = [0.0, 1.0, 2.0], [0.0, 1.0]
+    for style, x in (("markers", x3), ("line", x3), ("line", x3[::-1]), ("dash", x3[::-1])):
+        with pytest.raises(ValueError, match="curve 'sz2' has arrays of different shapes"):
+            svgplot.line_plot(tmp_path / "x.svg", [("sz1", x3, x3), ("sz2", x, y2, style)])
+    with pytest.raises(ValueError, match="band 1 has arrays of different shapes"):
+        svgplot.line_plot(tmp_path / "x.svg", [("I", x3, x3)],
+                          bands=[(x3, x3, x3), (x3, x3, y2)])
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("z, message", [
+    ([[0.1, 0.2, 0.3], [0.4, 0.5]], r"z must have shape \(2, 3\)"),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6, 0.7]], r"z must have shape \(2, 3\)"),
+    ([[0.1, 0.2, 0.3]], r"z must have shape \(2, 3\), got \(1, 3\)"),
+    (np.ones((3, 2)), r"z must have shape \(2, 3\), got \(3, 2\)"),
+    ([[0.1, math.nan, 0.3], [0.4, 0.5, 0.6]], "z must be finite"),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5, -math.inf]], "z must be finite"),
+], ids=["short-row", "long-row", "missing-row", "transposed", "nan", "inf"])
+def test_heatmap_refuses_z_that_does_not_fit_the_axes(tmp_path, z, message):
+    with pytest.raises(ValueError, match=message):
+        svgplot.heatmap(tmp_path / "h.svg", [-1.0, 1.0], [0.1, 0.2, 0.3], z)
+    assert not (tmp_path / "h.svg").exists()
+
+
+def test_heatmap_bytes_unchanged(tmp_path):
+    # digest taken before heatmap read z as one array; nested lists and an
+    # array of the same values write the same bytes
+    xi = [-1.0 + 0.25 * k for k in range(9)]
+    gamma = [10 ** (-2 + 2 * k / 6) for k in range(7)]
+    z = [[0.3 * math.exp(-g) * (1 - x * x) + 0.01 * k for k, g in enumerate(gamma)]
+         for x in xi]
+    for values in (z, np.array(z)):
+        path = tmp_path / "heatmap.svg"
+        svgplot.heatmap(path, xi, gamma, values, title="mutual information (bits), j_xy = +0.25",
+                        xlabel="xi", ylabel="gamma")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a9b6768d9ce32ae2fd6d6b1cc7b65f64c77763f9e759bd254666a2cace167775")
