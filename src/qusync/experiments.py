@@ -2,12 +2,18 @@
 
 Each command takes a resolved :class:`~qusync.config.ExperimentConfig`,
 writes CSV datasets plus standalone SVG plots into the output directory, and
-returns the list of files it produced.  Points run through an optional
-process pool, which returns results in input order.  ``evolve`` writes each
-xi's files as its trajectory completes and then drops it; the sweeps build
-their points in the order their CSV lists them (sorted axis values) and
-collect all rows before writing.  Either way, output files are
-byte-identical for identical config and seed.
+returns the list of files it produced.  Before computing anything, each
+command opens its first output file, so that one it cannot write is
+reported at once.  ``evolve`` and ``sync-sweep`` run their xi points through
+an optional process pool, which returns results in input order; ``evolve``
+writes each xi's files as its trajectory completes and then drops it.
+``info-sweep`` and ``discord-bench`` compute their points as stacks, with
+the same arithmetic as the one-point library functions: ``info-sweep``
+takes one stacked SVD of up to ``INFO_CHUNK`` generators, and
+``discord-bench`` runs one compass search over all its states.  The sweeps
+build their points in the order their CSV lists them (sorted axis values)
+and collect all rows before writing.  Output files are byte-identical for
+identical config and seed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import numpy as np
 from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
 from .lindblad import DegenerateSteadyStateError, NoSteadyStateError
-from .operators import ValidationError, basis_ket, save_matrix_csv, write_csv
+from .operators import (
+    ValidationError,
+    basis_ket,
+    check_density_matrix,
+    save_matrix_csv,
+    write_csv,
+)
 
 __all__ = [
     "NumericalFailure",
@@ -34,6 +46,11 @@ __all__ = [
 
 class NumericalFailure(RuntimeError):
     """A sweep point failed numerically; the message names the point."""
+
+
+# info-sweep stacks at most this many grid points at a time, so that its
+# memory is bounded on any grid; the default 1008-point grid is one stack.
+INFO_CHUNK = 1024
 
 
 def _map_points(fn, items, workers: int):
@@ -86,6 +103,16 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing the output file ``path`` would raise,
+    before any point is computed; no file is left behind."""
+    existed = path.exists()
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
     cfg, xi = args
     try:
@@ -101,6 +128,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory CSV and magnetization plot for every xi in the sweep list."""
     _refuse_shared_tags(xi=cfg.xi_values)
     out = _out_dir(cfg)
+    _check_writable(out / f"trajectory_{_tag('xi', cfg.xi_values[0])}.csv")
     written = []
     for xi, res in _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
                                cfg.workers):
@@ -136,9 +164,10 @@ def _sync_point(args) -> tuple[float, float, float, float, float]:
 def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Phase shift and phase-locking value versus bath correlation."""
     out = _out_dir(cfg)
+    csv_path = out / "sync_sweep.csv"
+    _check_writable(csv_path)
     rows = list(_map_points(_sync_point, [(cfg, xi) for xi in sorted(cfg.xi_values)],
                             cfg.workers))
-    csv_path = out / "sync_sweep.csv"
     phaselock.save_metrics_csv(csv_path, rows)
     xis = [r[0] for r in rows]
     dphi_path = out / "sync_delta_phi.svg"
@@ -156,28 +185,54 @@ def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     return [csv_path, dphi_path, plv_path]
 
 
-def _info_point(args):
-    cfg, j_xy, xi, gamma = args
-    params = replace(cfg.model, xi=float(xi) + 0.0, gamma=float(gamma), j_xy=float(j_xy))
-    flag = ""
-    try:
+def _info_params(cfg: ExperimentConfig, point) -> lindblad.ModelParams:
+    xi, gamma, j_xy = point
+    return replace(cfg.model, xi=float(xi) + 0.0, gamma=float(gamma), j_xy=float(j_xy))
+
+
+def _raise_first_failure(cfg: ExperimentConfig, points) -> None:
+    """Redo the points one at a time by the one-point functions, and raise a
+    :class:`NumericalFailure` naming the first one that fails."""
+    rho0 = _initial_state(cfg)
+    for point in points:
+        xi, gamma, j_xy = point
+        params = _info_params(cfg, point)
         try:
-            rho_ss = lindblad.steady_state(params)
-        except DegenerateSteadyStateError:
-            flag = "degenerate"
-            rho_ss = lindblad.asymptotic_state(params, _initial_state(cfg))
-    except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError) as exc:
-        raise NumericalFailure(
-            f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
-            f"j_xy={j_xy:+.3f}: {exc}") from exc
-    mi = qinfo.mutual_information(rho_ss, cfg.unit)
-    mi_classical = qinfo.classical_mutual_information(rho_ss, cfg.unit)
-    return {
-        "xi": float(xi), "gamma": float(gamma), "jxy": float(j_xy),
-        "mutual_info": mi, "classical_mutual_info": mi_classical,
-        "degree_of_quantumness": mi - mi_classical, "flag": flag,
-        "rho_ss": rho_ss,
-    }
+            try:
+                lindblad.steady_state(params)
+            except DegenerateSteadyStateError:
+                lindblad.asymptotic_state(params, rho0)
+        except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError) as exc:
+            raise NumericalFailure(
+                f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
+                f"j_xy={j_xy:+.3f}: {exc}") from exc
+
+
+def _info_states(cfg: ExperimentConfig, points) -> tuple[np.ndarray, np.ndarray]:
+    """The state of every (xi, gamma, j_xy) point, and which are degenerate.
+
+    ``INFO_CHUNK`` points at a time form one stack: one stacked SVD, one
+    density-matrix check, and :func:`lindblad.asymptotic_state` for the
+    degenerate points alone.  When a stack fails, its points are redone one
+    at a time, so that the first failing point in grid order is named.
+    """
+    rho0 = _initial_state(cfg)
+    states, degenerate = [], []
+    for start in range(0, len(points), INFO_CHUNK):
+        chunk = points[start:start + INFO_CHUNK]
+        params = [_info_params(cfg, point) for point in chunk]
+        try:
+            rho, dims = lindblad._steady_states(
+                np.stack([lindblad.build_liouvillian(p) for p in params]))
+            check_density_matrix(rho[dims == 1], name="rho_ss")
+            for k in np.flatnonzero(dims > 1):
+                rho[k] = lindblad.asymptotic_state(params[k], rho0)
+        except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError):
+            _raise_first_failure(cfg, chunk)
+            raise
+        states.append(rho)
+        degenerate.append(dims > 1)
+    return np.concatenate(states), np.concatenate(degenerate)
 
 
 def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
@@ -192,27 +247,29 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
         # each j_xy gets its own plots
         _refuse_shared_tags(_plot_tag, j_xy=cfg.jxy_values)
     out = _out_dir(cfg)
-    xis, gammas, jxys = sorted(cfg.xi_values), sorted(cfg.gamma_values), sorted(cfg.jxy_values)
-    points = [(cfg, j, x, g) for x, g, j in product(xis, gammas, jxys)]
-    rows = list(_map_points(_info_point, points, cfg.workers))
-
     csv_path = out / "info_sweep.csv"
+    _check_writable(csv_path)
+    xis, gammas, jxys = sorted(cfg.xi_values), sorted(cfg.gamma_values), sorted(cfg.jxy_values)
+    points = list(product(xis, gammas, jxys))
+    states, degenerate = _info_states(cfg, points)
+    mi, mi_classical = qinfo._informations(states, cfg.unit)
+    dq = mi - mi_classical
+
     header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
               "degree_of_quantumness", "flag")
-    write_csv(csv_path, header, [[r[name] for r in rows] for name in header])
+    write_csv(csv_path, header, [*np.array(points, dtype=float).T, mi, mi_classical, dq,
+                                 np.where(degenerate, "degenerate", "")])
     written = [csv_path]
 
     if cfg.save_states:
-        for r in rows:
-            name = (f"rho_ss_{_tag('xi', r['xi'])}_{_tag('gamma', r['gamma'])}"
-                    f"_{_tag('j_xy', r['jxy'])}.csv")
-            save_matrix_csv(out / name, r["rho_ss"])
+        for (xi, gamma, j_xy), rho in zip(points, states):
+            name = f"rho_ss_{_tag('xi', xi)}_{_tag('gamma', gamma)}_{_tag('j_xy', j_xy)}.csv"
+            save_matrix_csv(out / name, rho)
             written.append(out / name)
 
     # both measures on the grid, indexed [xi, gamma, j_xy] in sorted order
     shape = (len(xis), len(gammas), len(jxys))
-    mi, dq = (np.reshape([r[name] for r in rows], shape)
-              for name in ("mutual_info", "degree_of_quantumness"))
+    mi, dq = mi.reshape(shape), dq.reshape(shape)
     unit_name = cfg.unit.value
     picks = sorted({0, min(range(len(xis)), key=lambda i: abs(xis[i])), len(xis) - 1})
     for k, j_xy in enumerate(jxys):
@@ -237,35 +294,31 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
-def _discord_point(args):
-    cfg, rank, index = args
-    state_seed = cfg.seed * 1_000_000 + rank * 100_000 + index
-    rho = qinfo.random_density_matrix(4, rank, state_seed)
-    purity = float(np.trace(rho @ rho).real)
-    result = qinfo.discord_min(rho, cfg.unit)
-    # degree of quantumness, reusing the I(A:B) that discord_min computed
-    dq = result.mutual_information - qinfo.classical_mutual_information(rho, cfg.unit)
-    return (state_seed, rank, purity, result.mutual_information, result.discord,
-            result.classical_correlation, dq,
-            result.optimal_basis.theta, result.optimal_basis.phi)
-
-
 def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     """Random-state benchmark of discord and the quantumness upper bound on it."""
     out = _out_dir(cfg)
-    ranks, n = sorted(cfg.ranks), cfg.n_states
-    points = [(cfg, rank, i) for rank in ranks for i in range(n)]
-    rows = list(_map_points(_discord_point, points, cfg.workers))
     csv_path = out / "discord_bench.csv"
+    _check_writable(csv_path)
+    ranks, n = sorted(cfg.ranks), cfg.n_states
+    draws = [(cfg.seed * 1_000_000 + rank * 100_000 + index, rank)
+             for rank in ranks for index in range(n)]
+    rho = check_density_matrix(
+        np.stack([qinfo.random_density_matrix(4, rank, seed) for seed, rank in draws]))
+    purity = np.trace(rho @ rho, axis1=1, axis2=2).real
+    mi, discord, classical, angles, _ = qinfo._discords(rho, cfg.unit)
+    # degree of quantumness: I(A:B) minus the diagonal-truncation one
+    dq = mi - qinfo._informations(rho, cfg.unit)[1]
+    rows = [(seed, rank, *values, theta, phi) for (seed, rank), *values, (theta, phi)
+            in zip(draws, purity, mi, discord, classical, dq, angles)]
     qinfo.save_discord_csv(csv_path, rows)
     written = [csv_path]
 
-    groups = [rows[k * n:(k + 1) * n] for k in range(len(ranks))]  # one slice per rank
+    groups = [slice(k * n, (k + 1) * n) for k in range(len(ranks))]  # one slice per rank
     if 2 in ranks:
         rank2 = groups[ranks.index(2)]
         p2 = out / "discord_rank2.svg"
         svgplot.line_plot(
-            p2, [("rank 2", [r[2] for r in rank2], [r[4] for r in rank2], "markers")],
+            p2, [("rank 2", purity[rank2], discord[rank2], "markers")],
             title="discord vs purity, rank-2 states",
             xlabel="purity", ylabel=f"discord ({cfg.unit.value})",
         )
@@ -273,17 +326,17 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     pall = out / "discord_all_ranks.svg"
     svgplot.line_plot(
         pall,
-        [(f"rank {rank}", [r[2] for r in group], [r[4] for r in group], "markers")
+        [(f"rank {rank}", purity[group], discord[group], "markers")
          for rank, group in zip(ranks, groups)],
         title="discord vs purity, mixed ranks",
         xlabel="purity", ylabel=f"discord ({cfg.unit.value})",
     )
     written.append(pall)
-    dmax = max(max(r[4] for r in rows), 1e-9)
+    dmax = max(float(discord.max()), 1e-9)
     pq = out / "quantumness_vs_discord.svg"
     svgplot.line_plot(
         pq,
-        [(f"rank {rank}", [r[4] for r in group], [r[6] for r in group], "markers")
+        [(f"rank {rank}", discord[group], dq[group], "markers")
          for rank, group in zip(ranks, groups)]
         + [("equality", [0.0, dmax], [0.0, dmax], "line")],
         title="quantumness upper bound vs discord",

@@ -7,7 +7,9 @@ weighted sum of five fixed superoperators per channel.  Propagation uses the
 matrix exponential of L (exact for a time-independent generator), computed in
 numpy by scaling and squaring.  Steady and asymptotic states come from the
 null spaces of one SVD of L, where a singular value counts as zero up to
-``NULL_ATOL * max(||L||_2, 1)``.
+``NULL_ATOL * max(||L||_2, 1)``.  That rule runs on a stack of generators
+(``_steady_states``, one stacked SVD), and the one-generator functions are
+its stack-of-one case, so a stacked sweep gives the same states bit for bit.
 """
 
 from __future__ import annotations
@@ -286,51 +288,80 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     return EvolutionResult(times=times, states=states, observables=observables)
 
 
-def _null_space(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Right null space R (columns), left null space J+ (rows) and the zero
-    bound: the one place that decides what a zero of a generator is."""
-    u, s, vh = np.linalg.svd(mat)
-    zero = NULL_ATOL * max(s[0], 1.0)
-    null = s <= zero
-    if not null.any():
+def _null_spaces(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One SVD of each generator of an (n, d, d) stack: U, V+, the zero bound
+    and the null-space dimension of each.  The one place that decides what a
+    zero of a generator is; the first generator with none raises
+    :class:`NoSteadyStateError`.  Singular values are sorted, so the null
+    vectors are the last ``dims`` rows of V+ and columns of U."""
+    u, s, vh = np.linalg.svd(mats)
+    zero = NULL_ATOL * np.maximum(s[:, 0], 1.0)
+    dims = (s <= zero[:, None]).sum(axis=1)
+    if not dims.all():
+        k = int(np.argmin(dims))
         raise NoSteadyStateError(
-            f"smallest singular value {s[-1]:.3e} exceeds {zero:.3e}, no fixed point")
-    return vh[null].conj().T, u[:, null].conj().T, zero
+            f"smallest singular value {s[k, -1]:.3e} exceeds {zero[k]:.3e}, no fixed point")
+    return u, vh, zero, dims
 
 
-def _to_state(v: np.ndarray) -> np.ndarray:
-    """Unvectorize, Hermitize, and divide by the trace unless it is about zero."""
-    m = unvectorize(v, math.isqrt(v.size))
-    m = (m + m.conj().T) / 2.0
-    tr = m.trace().real
-    return m / tr if abs(tr) > 1e-8 else m
+def _to_states(vecs: np.ndarray) -> np.ndarray:
+    """Unvectorize each row of an (n, d*d) stack, Hermitize, and divide by the
+    trace unless it is about zero."""
+    d = math.isqrt(vecs.shape[-1])
+    m = vecs.reshape(-1, d, d).swapaxes(1, 2)  # undo column stacking
+    m = (m + m.conj().swapaxes(1, 2)) / 2.0
+    tr = np.trace(m, axis1=1, axis2=2).real
+    return m / np.where(abs(tr) > 1e-8, tr, 1.0)[:, None, None]
 
 
-def _fixed_point(mat: np.ndarray, v: np.ndarray, zero: float, name: str) -> np.ndarray:
-    """The state of null vector v, checked as a fixed point and as a density
-    matrix at the tolerance that every measure of ``qinfo`` applies."""
-    rho = _to_state(v)
-    residual = np.linalg.norm(mat @ vectorize(rho))
-    if residual > zero:
-        raise NoSteadyStateError(f"{name} residual {residual:.3e} exceeds {zero:.3e}")
-    return check_density_matrix(rho, name=name)
+def _fixed_points(mats: np.ndarray, vecs: np.ndarray, zero: np.ndarray,
+                  name: str) -> np.ndarray:
+    """The states of null vectors ``vecs``, one per generator of the stack
+    ``mats``, each checked as a fixed point: the first residual ||L rho|| above
+    its generator's zero bound raises :class:`NoSteadyStateError`.  Whether
+    they are density matrices is the caller's one check."""
+    rho = _to_states(vecs)
+    residual = np.linalg.norm(mats @ rho.swapaxes(1, 2).reshape(*mats.shape[:2], 1), axis=(1, 2))
+    bad = np.flatnonzero(residual > zero)
+    if bad.size:
+        raise NoSteadyStateError(
+            f"{name} residual {residual[bad[0]]:.3e} exceeds {zero[bad[0]]:.3e}")
+    return rho
+
+
+def _steady_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The null-space dimension of each generator of an (n, d*d, d*d) stack,
+    and the state of each whose null space is one vector, checked as a fixed
+    point (zeros for the others).
+
+    The first generator with no zero singular value, or whose state is no
+    fixed point, raises :class:`NoSteadyStateError`.  Whether the states are
+    density matrices is left to one check by the caller.
+    """
+    _, vh, zero, dims = _null_spaces(mats)
+    d = math.isqrt(mats.shape[-1])
+    unique = dims == 1
+    # turn the arbitrary phase of each SVD null vector to a positive trace,
+    # so that Hermitizing cannot cancel it
+    v = vh[unique, -1].conj()
+    v = v * np.exp(-1j * np.angle(v[:, ::d + 1].sum(axis=1)))[:, None]
+    rho = np.zeros((len(mats), d, d), dtype=complex)
+    rho[unique] = _fixed_points(mats[unique], v, zero[unique], "rho_ss")
+    return rho, dims
 
 
 def steady_state_from_matrix(mat: np.ndarray) -> np.ndarray:
-    """Steady state from the null space of a generator matrix.
+    """Steady state from the null space of a generator matrix: the one-matrix
+    case of the stacked rule that ``info-sweep`` applies to its grid.
 
     A null space of dimension > 1 raises :class:`DegenerateSteadyStateError`
     carrying that dimension; none, or a residual ``||L rho||`` above the zero
     bound, raises :class:`NoSteadyStateError`.
     """
-    right, _, zero = _null_space(mat)
-    if right.shape[1] > 1:
-        raise DegenerateSteadyStateError(right.shape[1])
-    # turn the arbitrary phase of the SVD null vector to a positive trace,
-    # so that Hermitizing cannot cancel it
-    v = right[:, 0]
-    v = v * np.exp(-1j * np.angle(v[::math.isqrt(len(mat)) + 1].sum()))
-    return _fixed_point(mat, v, zero, "rho_ss")
+    rho, dims = _steady_states(np.asarray(mat)[None])
+    if dims[0] > 1:
+        raise DegenerateSteadyStateError(int(dims[0]))
+    return check_density_matrix(rho[0], name="rho_ss")
 
 
 def steady_state(p: ModelParams) -> np.ndarray:
@@ -352,24 +383,25 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     The result is checked as a density matrix, named ``rho_t``.
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    return check_density_matrix(_to_state(_expm(build_liouvillian(p) * t) @ vectorize(rho0)),
-                                name="rho_t")
+    v = _expm(build_liouvillian(p) * t) @ vectorize(rho0)
+    return check_density_matrix(_to_states(v[None])[0], name="rho_t")
 
 
 def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
     """Limit of exp(L t) rho0 as t -> infinity, exact for a degenerate L.
 
-    The null spaces of :func:`_null_space` give the fixed points R and the
+    The null spaces of :func:`_null_spaces` give the fixed points R and the
     conserved quantities J; the limit is R (J+ R)^-1 J+ vec(rho0) (Albert &
     Jiang, PRA 89, 022118 (2014)).  This is the limit when every other
     eigenvalue of L has a negative real part, and the time average of the
     trajectory when some are imaginary (as at gamma = 0).
     """
     rho0 = check_density_matrix(rho0, name="rho0")
-    mat = build_liouvillian(p)
-    right, left_h, zero = _null_space(mat)
+    mat = build_liouvillian(p)[None]
+    u, vh, zero, dims = _null_spaces(mat)
+    right, left_h = vh[0, -dims[0]:].conj().T, u[0, :, -dims[0]:].conj().T
     v = right @ np.linalg.solve(left_h @ right, left_h @ vectorize(rho0))
-    return _fixed_point(mat, v, zero, "rho_inf")
+    return check_density_matrix(_fixed_points(mat, v[None], zero, "rho_inf")[0], name="rho_inf")
 
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:

@@ -13,7 +13,10 @@ real numbers a, b and T.  A two-outcome measurement along n is the same as
 along -n, so its grid covers only the hemisphere theta <= pi/2, and an
 in-house compass search over the same closed form refines the grid's best
 direction.  No projector is built; :class:`MeasurementBasis` only names
-the measurement that :func:`discord_min` reports.
+the measurement that :func:`discord_min` reports.  The search, the entropies
+and the mutual informations also run on a stack of states, with the same
+arithmetic as the one-state functions (``_discords`` and ``_informations``,
+which ``discord-bench`` and ``info-sweep`` call).
 
 Entropies default to bits, so a maximally entangled pure state has discord 1;
 nats are selectable everywhere through :class:`EntropyUnit`.
@@ -31,7 +34,6 @@ from .operators import (
     DimensionError,
     ValidationError,
     check_density_matrix,
-    partial_trace,
     pauli,
     write_csv,
 )
@@ -69,10 +71,15 @@ class EntropyUnit(enum.Enum):
         return 1.0 / math.log(2.0) if self is EntropyUnit.BITS else 1.0
 
 
+def _lam_log_lam(lam: np.ndarray) -> np.ndarray:
+    """lam log lam, taken as 0 where lam <= PROB_FLOOR."""
+    lam = np.where(lam > PROB_FLOOR, lam, 1.0)
+    return lam * np.log(lam)
+
+
 def _entropy_nats(spectrum: np.ndarray):
     """-sum lam log lam over the last axis, skipping lam <= PROB_FLOOR."""
-    lam = np.where(spectrum > PROB_FLOOR, spectrum, 1.0)
-    return -(lam * np.log(lam)).sum(axis=-1)
+    return -_lam_log_lam(spectrum).sum(axis=-1)
 
 
 def _require_two_qubits(rho: np.ndarray) -> np.ndarray:
@@ -89,21 +96,40 @@ def von_neumann_entropy(rho: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -
     return float(_entropy_nats(np.linalg.eigvalsh(rho))) * unit.per_nat
 
 
-def _entropies_nats(rho_ab: np.ndarray) -> tuple[float, float, float]:
-    """S(A), S(B) and S(AB) in nats of a two-qubit state that is already checked."""
-    states = (partial_trace(rho_ab, (2, 2), "A"), partial_trace(rho_ab, (2, 2), "B"), rho_ab)
-    return tuple(float(_entropy_nats(np.linalg.eigvalsh(m))) for m in states)
+def _entropies_nats(rho_ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S(A), S(B) and S(AB) in nats of a two-qubit state that is already
+    checked, or of each state of an (n, 4, 4) stack."""
+    r = rho_ab.reshape(*rho_ab.shape[:-2], 2, 2, 2, 2)
+    states = (np.einsum("...abcb->...ac", r), np.einsum("...abad->...bd", r), rho_ab)
+    return tuple(_entropy_nats(np.linalg.eigvalsh(m)) for m in states)
 
 
-def _mutual_information_nats(rho_ab: np.ndarray) -> float:
-    """I(A:B) in nats of a two-qubit state that is already checked."""
+def _mutual_information_nats(rho_ab: np.ndarray) -> np.ndarray:
+    """I(A:B) in nats of a checked two-qubit state, or of each state of a stack."""
     s_a, s_b, s_ab = _entropies_nats(rho_ab)
     return s_a + s_b - s_ab
 
 
+def _dephased(rho_ab: np.ndarray) -> np.ndarray:
+    """diag(rho) as a matrix, of one state or of each state of a stack."""
+    out = np.zeros_like(rho_ab)
+    k = np.arange(rho_ab.shape[-1])
+    out[..., k, k] = rho_ab[..., k, k]
+    return out
+
+
+def _informations(rho_ab: np.ndarray, unit: EntropyUnit) -> tuple[np.ndarray, np.ndarray]:
+    """I(A:B) and the diagonal-truncation mutual information of a checked
+    two-qubit state, or of each state of an (n, 4, 4) stack: what
+    :func:`mutual_information` and :func:`classical_mutual_information`
+    return, with the same arithmetic."""
+    return (_mutual_information_nats(rho_ab) * unit.per_nat,
+            _mutual_information_nats(_dephased(rho_ab)) * unit.per_nat)
+
+
 def mutual_information(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) >= 0, the total correlation content."""
-    return _mutual_information_nats(_require_two_qubits(rho_ab)) * unit.per_nat
+    return float(_mutual_information_nats(_require_two_qubits(rho_ab)) * unit.per_nat)
 
 
 @dataclass(frozen=True)
@@ -149,20 +175,22 @@ def _correlation_matrix(rho_ab: np.ndarray) -> np.ndarray:
 
 def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Conditional entropy in nats for measurement directions ``n`` of shape
-    (..., 3), from the correlation matrix ``r``.
+    (..., 3), from the correlation matrix ``r``; or, for a stack ``r`` of
+    shape (s, 4, 4), of each state's directions ``n`` of shape (s, k, 3).
 
     Outcome +-1 along n leaves A in sum_mu u_mu sigma_mu / 4 with
     u = R (1, +-n): probability p = u_0 / 2 = (1 +- b.n) / 2 and Bloch vector
     (a +- T n) / u_0, whose length l gives the spectrum (1 +- l) / 2.
     """
-    t_n = n @ r[:, 1:].T
+    t_n = n @ r[..., 1:].swapaxes(-1, -2)
+    r_0 = r[:, 0] if r.ndim == 2 else r[:, None, :, 0]
     total = 0.0
     for sign in (1.0, -1.0):
-        u = r[:, 0] + sign * t_n
-        p = u[..., 0] / 2.0
+        u0, u1, u2, u3 = np.moveaxis(r_0 + sign * t_n, -1, 0)
+        p = u0 / 2.0
         live = p > PROB_FLOOR
-        gap = np.linalg.norm(u[..., 1:], axis=-1) / (2.0 * np.where(live, u[..., 0], 1.0))
-        s = _entropy_nats(np.stack([0.5 - gap, 0.5 + gap], axis=-1))
+        gap = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3) / (2.0 * np.where(live, u0, 1.0))
+        s = -(_lam_log_lam(0.5 - gap) + _lam_log_lam(0.5 + gap))
         total = total + np.where(live, p * s, 0.0)
     return total
 
@@ -193,6 +221,59 @@ class SearchResult:
     nfev: int  # directions evaluated
 
 
+def _grid_start(r: np.ndarray) -> tuple[tuple[float, float], float]:
+    """The grid point (theta, phi) of least conditional entropy of correlation
+    matrix ``r``, and that entropy in nats."""
+    surface = _conditional_entropy_grid(r, _GRID_N)
+    i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
+    return (_GRID_THETAS[i0], _GRID_PHIS[j0]), float(surface[i0, j0])
+
+
+def _folded_angles(frame: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(theta, phi) of the direction at chart point ``x`` of ``frame``, folded
+    into the hemisphere n_z >= 0."""
+    n = frame @ _directions(*x)
+    nx, ny, nz = n if n[2] >= 0.0 else -n
+    theta, phi = math.atan2(math.hypot(nx, ny), nz), math.atan2(ny, nx) % (2.0 * math.pi)
+    return theta, (phi if phi < 2.0 * math.pi else 0.0)
+
+
+def _search(r: np.ndarray, x0: np.ndarray,
+            fun0: np.ndarray) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
+    """Compass search for the conditional entropy of each correlation matrix
+    of an (s, 4, 4) stack, from its direction at ``x0[k]`` = (theta, phi),
+    whose value is ``fun0[k]``: :func:`minimize` over a stack.
+
+    Each state keeps its own point, value and step, and a round evaluates
+    only the states whose step is still at least ``ANGLE_TOL``, so each
+    state's path is the one it takes alone.  Returns each state's folded
+    (theta, phi), its value and the directions it evaluated.
+    """
+    count = len(r)
+    theta0, phi0 = x0[:, 0], x0[:, 1]
+    frame = _directions(
+        np.stack([theta0, theta0 + math.pi / 2.0, np.full(count, math.pi / 2.0)], axis=-1),
+        np.stack([phi0, phi0, phi0 + math.pi / 2.0], axis=-1)).swapaxes(1, 2)
+    r = np.concatenate([r[..., :1], r[..., 1:] @ frame], axis=-1)
+    x = np.tile([math.pi / 2.0, 0.0], (count, 1))
+    fun = np.array(fun0, dtype=float)
+    step = np.full(count, math.pi / N_THETA)
+    nfev = np.zeros(count, dtype=int)
+    live = np.arange(count)
+    while live.size:
+        points = x[live, None] + step[live, None, None] * _COMPASS
+        values = _conditional_entropy_grid(r[live], _directions(points[..., 0], points[..., 1]))
+        nfev[live] += len(_COMPASS)
+        k = np.argmin(values, axis=1)
+        best = values[np.arange(len(live)), k]
+        moved = best < fun[live]
+        x[live[moved]] = points[moved, k[moved]]
+        fun[live[moved]] = best[moved]
+        step[live[~moved]] /= 4.0
+        live = live[step[live] >= ANGLE_TOL]
+    return [_folded_angles(f, p) for f, p in zip(frame, x)], fun, nfev
+
+
 def minimize(r: np.ndarray, x0: tuple[float, float], fun0: float) -> SearchResult:
     """Compass search for the conditional entropy of correlation matrix ``r``,
     from the direction at ``x0`` = (theta, phi), whose value is ``fun0``.
@@ -204,26 +285,23 @@ def minimize(r: np.ndarray, x0: tuple[float, float], fun0: float) -> SearchResul
     the lowest if it beats the current point; otherwise the step is
     quartered.  The step starts at the grid spacing and the search stops
     below ``ANGLE_TOL``, so the result is never above ``fun0``.  The angles
-    returned name the direction folded into the hemisphere n_z >= 0.
+    returned name the direction folded into the hemisphere n_z >= 0.  This
+    is the one-state case of the stacked search that ``discord-bench`` runs.
     """
-    theta0, phi0 = x0
-    frame = _directions(np.array([theta0, theta0 + math.pi / 2.0, math.pi / 2.0]),
-                        np.array([phi0, phi0, phi0 + math.pi / 2.0])).T
-    r = np.concatenate([r[:, :1], r[:, 1:] @ frame], axis=1)
-    x, fun, step, nfev = np.array([math.pi / 2.0, 0.0]), float(fun0), math.pi / N_THETA, 0
-    while step >= ANGLE_TOL:
-        points = x + step * _COMPASS
-        values = _conditional_entropy_grid(r, _directions(points[:, 0], points[:, 1]))
-        nfev += len(points)
-        k = int(np.argmin(values))
-        if values[k] < fun:
-            x, fun = points[k], float(values[k])
-        else:
-            step /= 4.0
-    n = frame @ _directions(*x)
-    nx, ny, nz = n if n[2] >= 0.0 else -n
-    theta, phi = math.atan2(math.hypot(nx, ny), nz), math.atan2(ny, nx) % (2.0 * math.pi)
-    return SearchResult(x=(theta, phi if phi < 2.0 * math.pi else 0.0), fun=fun, nfev=nfev)
+    angles, fun, nfev = _search(np.asarray(r)[None], np.array([x0], dtype=float),
+                                np.array([fun0], dtype=float))
+    return SearchResult(x=angles[0], fun=float(fun[0]), nfev=int(nfev[0]))
+
+
+def _discord_parts(rho_ab: np.ndarray, fun, unit: EntropyUnit):
+    """I(A:B), the classical correlation and the discord (clipped below at 0)
+    of a checked state whose least conditional entropy is ``fun`` nats, or
+    of each state of a stack."""
+    s_a, s_b, s_ab = _entropies_nats(rho_ab)
+    mi = (s_a + s_b - s_ab) * unit.per_nat
+    classical = (s_a - fun) * unit.per_nat
+    discord = mi - classical
+    return mi, classical, np.where(discord < 0.0, 0.0, discord)
 
 
 def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> DiscordResult:
@@ -241,20 +319,27 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
     """
     rho_ab = _require_two_qubits(rho_ab)
     r = _correlation_matrix(rho_ab)
-    surface = _conditional_entropy_grid(r, _GRID_N)
-    i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
-    res = minimize(r, (_GRID_THETAS[i0], _GRID_PHIS[j0]), float(surface[i0, j0]))
-    basis = MeasurementBasis(*res.x)
-
-    s_a, s_b, s_ab = _entropies_nats(rho_ab)
-    mi = (s_a + s_b - s_ab) * unit.per_nat
-    classical = (s_a - res.fun) * unit.per_nat
+    res = minimize(r, *_grid_start(r))
+    mi, classical, discord = _discord_parts(rho_ab, res.fun, unit)
     return DiscordResult(
-        discord=max(mi - classical, 0.0),
-        classical_correlation=classical,
-        optimal_basis=basis,
-        mutual_information=mi,
+        discord=float(discord),
+        classical_correlation=float(classical),
+        optimal_basis=MeasurementBasis(*res.x),
+        mutual_information=float(mi),
     )
+
+
+def _discords(rho_ab: np.ndarray, unit: EntropyUnit):
+    """:func:`discord_min` over a checked (n, 4, 4) stack, with the same
+    arithmetic: each state's grid, then one compass search over the whole
+    stack.  Returns I(A:B), the discord, the classical correlation, each
+    state's (theta, phi) and the directions each evaluated."""
+    r = [_correlation_matrix(m) for m in rho_ab]
+    starts = [_grid_start(m) for m in r]
+    angles, fun, nfev = _search(np.stack(r), np.array([x for x, _ in starts]),
+                                np.array([f for _, f in starts]))
+    mi, classical, discord = _discord_parts(rho_ab, fun, unit)
+    return mi, discord, classical, angles, nfev
 
 
 def classical_mutual_information(
@@ -267,8 +352,7 @@ def classical_mutual_information(
     fixed computational product basis.  diag(rho) needs no check of its
     own: each diagonal entry is at least the smallest eigenvalue of rho.
     """
-    rho_ab = _require_two_qubits(rho_ab)
-    return _mutual_information_nats(np.diag(np.diag(rho_ab))) * unit.per_nat
+    return float(_mutual_information_nats(_dephased(_require_two_qubits(rho_ab))) * unit.per_nat)
 
 
 def degree_of_quantumness(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
@@ -279,9 +363,8 @@ def degree_of_quantumness(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BI
     keeps no more correlation than measuring B along z, which keeps no more
     than the best measurement, so I_diag <= J(z) <= max J.
     """
-    rho_ab = _require_two_qubits(rho_ab)
-    mi = _mutual_information_nats(rho_ab) * unit.per_nat
-    return mi - _mutual_information_nats(np.diag(np.diag(rho_ab))) * unit.per_nat
+    mi, mi_diag = _informations(_require_two_qubits(rho_ab), unit)
+    return float(mi - mi_diag)
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:

@@ -24,8 +24,10 @@ from qusync.experiments import (
     cmd_discord_bench,
     cmd_evolve,
     cmd_info_sweep,
+    cmd_sync_sweep,
 )
 from qusync.lindblad import Channel, ModelParams
+from qusync.operators import ValidationError
 from qusync.qinfo import EntropyUnit
 from tests.oracles import load_matrix_csv
 
@@ -251,13 +253,41 @@ def test_unusable_out_dir_exits_one(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_unwritable_output_file_exits_one(tmp_path, capsys):
-    path = write_config(tmp_path, "[evolution]\nt_final = 2\ndt = 0.01\n[sweep]\nxi = 0.3\n")
+def test_unwritable_output_file_exits_one(tmp_path, capsys, monkeypatch):
+    # each command tries its output file before it computes any point
+    path = write_config(tmp_path, "[evolution]\nt_final = 2\ndt = 0.01\n[sweep]\nxi = 0.3, 0.5\n"
+                        "gamma = 0.05\nj_xy = 0.25\n[discord]\nn_states = 2\nranks = 2\n")
+    for command, csv_name, module, computes in [
+        ("evolve", "trajectory_xi+0.300.csv", "lindblad", "evolve"),
+        ("sync-sweep", "sync_sweep.csv", "lindblad", "evolve"),
+        ("info-sweep", "info_sweep.csv", "lindblad", "build_liouvillian"),
+        ("discord-bench", "discord_bench.csv", "qinfo", "random_density_matrix"),
+    ]:
+        def no_point(*args, computes=computes, **kwargs):
+            raise AssertionError(f"{computes} ran before the output file was tried")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module(f"qusync.{module}"), computes, no_point)
+            out = tmp_path / command
+            (out / csv_name).mkdir(parents=True)
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {out / csv_name}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == [csv_name]
+
+
+def test_writable_output_check_leaves_no_file(tmp_path, monkeypatch):
+    # a sweep that fails after the check leaves the directory as it found it
+    from qusync import lindblad
+
+    def boom(*args, **kwargs):
+        raise ValidationError("boom")
+
+    monkeypatch.setattr(lindblad, "evolve", boom)
+    path = write_config(tmp_path, "[sweep]\nxi = 0.3\n")
     out = tmp_path / "out"
-    (out / "sync_sweep.csv").mkdir(parents=True)
-    assert cli.main(["sync-sweep", "--config", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"config error: cannot write {out / 'sync_sweep.csv'}: Is a directory\n"
+    assert cli.main(["sync-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, sweep, values", [
@@ -455,7 +485,8 @@ def test_cli_outputs_deterministic(tmp_path):
 @pytest.mark.parametrize("command, settings", [
     (cmd_discord_bench, {"n_states": 3, "ranks": (2,), "seed": 3}),
     (cmd_evolve, {"xi_values": (-0.5, 0.5, 1.0), "t_final": 20.0}),
-], ids=["discord_bench", "evolve"])
+    (cmd_sync_sweep, {"xi_values": (-0.5, 0.5, 1.0), "t_final": 20.0}),
+], ids=["discord_bench", "evolve", "sync_sweep"])
 def test_worker_pool_matches_serial(tmp_path, command, settings):
     from dataclasses import replace
 
@@ -587,6 +618,63 @@ def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"xi=\+0\.300, gamma=0\.05, j_xy=\+0\.250: .*no fixed point"):
         cmd_info_sweep(cfg)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+@pytest.mark.parametrize("broken_xi, message", [
+    (0.3, r"xi=\+0\.300, gamma=0\.8543, j_xy=-1\.974: .*no fixed point"),
+    (1.0, r"xi=\+1\.000, gamma=0\.8543, j_xy=-1\.974: rho_ss has negative eigenvalue"),
+], ids=["missing-first", "refused-first"])
+def test_info_sweep_names_the_first_failing_point(tmp_path, monkeypatch, chunk, broken_xi,
+                                                  message):
+    # two failing points in one grid, a generator with no fixed point and
+    # the refused state of the test below: the first in grid order is named,
+    # whether they share a stack or not
+    from qusync import experiments, lindblad
+
+    build = lindblad.build_liouvillian
+    monkeypatch.setattr(lindblad, "build_liouvillian",
+                        lambda p: build(p) + 0.05 * np.eye(16) * (p.xi == broken_xi))
+    monkeypatch.setattr(experiments, "INFO_CHUNK", chunk)
+    cfg = ExperimentConfig(
+        model=ModelParams(delta=1.927770772506825, tau=0.09997343206523866),
+        xi_values=(broken_xi, 0.9999999999948538, 0.0), gamma_values=(0.8543247793093437,),
+        jxy_values=(-1.9743644693427593,), out_dir=str(tmp_path / "two"),
+    ).validate()
+    with pytest.raises(NumericalFailure, match=message):
+        cmd_info_sweep(cfg)
+
+
+@pytest.mark.parametrize("channel", list(Channel))
+def test_info_sweep_stacks_match_the_one_point_functions(tmp_path, monkeypatch, channel):
+    # several stacks, with degenerate points at xi = +1 and at gamma = 0:
+    # every state and every measure equals the one-point functions' bit for bit
+    from qusync import experiments, lindblad, qinfo
+
+    monkeypatch.setattr(experiments, "INFO_CHUNK", 5)
+    cfg = ExperimentConfig(
+        model=ModelParams(channel=channel), xi_values=(-1.0, -0.3, 0.4, 1.0),
+        gamma_values=(0.0, 0.05, 0.7), jxy_values=(-0.5, 0.25),
+        out_dir=str(tmp_path / "grid"), save_states=True,
+    ).validate()
+    cmd_info_sweep(cfg)
+    _, rows = _load_csv(tmp_path / "grid" / "info_sweep.csv")
+    assert len(rows) == 24
+    flags = []
+    for xi, gamma, j_xy, *measures, flag in rows:
+        params = ModelParams(xi=float(xi), gamma=float(gamma), j_xy=float(j_xy), channel=channel)
+        try:
+            rho, want_flag = lindblad.steady_state(params), ""
+        except lindblad.DegenerateSteadyStateError:
+            rho = lindblad.asymptotic_state(params, np.diag([0, 0, 1, 0]).astype(complex))
+            want_flag = "degenerate"
+        mi, mi_c = qinfo.mutual_information(rho), qinfo.classical_mutual_information(rho)
+        assert flag == want_flag
+        assert np.array_equal([float(m) for m in measures], [mi, mi_c, mi - mi_c])
+        name = f"rho_ss_xi{float(xi):+.3f}_g{float(gamma):.4g}_j{float(j_xy):+.3f}.csv"
+        assert np.array_equal(load_matrix_csv(tmp_path / "grid" / name), rho)
+        flags.append(flag)
+    assert flags.count("degenerate") == 8 + 4  # gamma = 0, and xi = +1 with gamma > 0
 
 
 def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, capsys):

@@ -334,6 +334,31 @@ def test_discord_optimum_near_pole(monkeypatch):
                 assert evals[-1] <= 1000
 
 
+def test_stacked_discord_matches_discord_min():
+    # discord-bench's one compass search over a stack takes each state's own
+    # path: the same values, angles and direction counts as discord_min and
+    # minimize state by state, on every rank and a state whose best axis
+    # lies just off the grid's pole
+    rng = np.random.default_rng(103)
+    states = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)
+              for _ in range(5)]
+    rho = (np.eye(4) + sum(ci * kron(pauli(k), pauli(k))
+                           for ci, k in zip((0.1, 0.2, 0.6), ("x", "y", "z")))) / 4.0
+    u = kron(pauli("id"), math.cos(0.0015) * pauli("id") - 1j * math.sin(0.0015) * pauli("x"))
+    states.append(u @ rho @ u.conj().T)
+    for unit in EntropyUnit:
+        mi, discord, classical, angles, nfev = qinfo._discords(np.stack(states), unit)
+        assert len(set(nfev)) > 1
+        for k, rho in enumerate(states):
+            res = qinfo.discord_min(rho, unit)
+            r = qinfo._correlation_matrix(rho)
+            search = qinfo.minimize(r, *qinfo._grid_start(r))
+            assert np.array_equal(
+                [mi[k], discord[k], classical[k], *angles[k], nfev[k]],
+                [res.mutual_information, res.discord, res.classical_correlation,
+                 res.optimal_basis.theta, res.optimal_basis.phi, search.nfev])
+
+
 def test_discord_matches_dense_grid_oracle():
     rng = np.random.default_rng(67)
     for _ in range(6):
@@ -397,13 +422,10 @@ def test_degree_of_quantumness_bounds_discord_above():
               for rank in ranks for _ in range(100)]
     # and the info-sweep states of a small grid, whose xi = +1 points are
     # degenerate and hold the asymptotic state from |1 0>
-    cfg = ExperimentConfig().validate()
-    flags = []
-    for j_xy, xi, gamma in product((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.01, 0.1, 1.0)):
-        row = experiments._info_point((cfg, j_xy, xi, gamma))
-        flags.append(row["flag"])
-        states.append((None, row["rho_ss"]))
-    assert flags.count("degenerate") == 9
+    points = list(product((-1.0, 0.0, 1.0), (0.01, 0.1, 1.0), (-1.0, 0.0, 1.0)))
+    rho_ss, degenerate = experiments._info_states(ExperimentConfig().validate(), points)
+    assert degenerate.sum() == 9
+    states += [(None, rho) for rho in rho_ss]
     gaps = {rank: [] for rank in ranks}
     for rank, rho in states:
         bound = qinfo.degree_of_quantumness(rho)
