@@ -78,9 +78,10 @@ def _tag(name: str, value: float) -> str:
 
 
 def _plot_tag(name: str, value: float) -> str:
-    """The tag of a j_xy value in info-sweep's plot names, 2 decimals as written;
-    it takes ``_tag``'s arguments, so that ``_refuse_shared_tags`` can use it."""
-    return f"j{value:+.2f}"
+    """The tag of a j_xy value in info-sweep's plot names, 2 decimals as written
+    and -0.0 as +0.0, as in ``_tag``, whose arguments it takes so that
+    ``_refuse_shared_tags`` can use it."""
+    return f"j{float(value) + 0.0:+.2f}"
 
 
 def _refuse_shared_tags(tag=_tag, **sweeps) -> None:
@@ -141,7 +142,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
             svg_path,
             [("<sz1>", res.times, res.observables["sz1"]),
              ("<sz2>", res.times, res.observables["sz2"])],
-            title=f"magnetization, xi = {xi:+.2f}",
+            title=f"magnetization, xi = {xi + 0.0:+.2f}",
             xlabel="t", ylabel="<sz>",
         )
         written += [csv_path, bloch_path, svg_path]
@@ -276,19 +277,19 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
         if len(xis) > 1 and len(gammas) > 1:
             hpath = out / f"info_heatmap_{_plot_tag('j_xy', j_xy)}.svg"
             svgplot.heatmap(hpath, xis, gammas, mi[:, :, k],
-                            title=f"mutual information ({unit_name}), j_xy = {j_xy:+.2f}",
+                            title=f"mutual information ({unit_name}), j_xy = {j_xy + 0.0:+.2f}",
                             xlabel="xi", ylabel="gamma")
             written.append(hpath)
         if len(gammas) > 1:
             curves, bands = [], []
             for i in picks:
-                curves.append((f"I, xi={xis[i]:+.2f}", gammas, mi[i, :, k], "line"))
-                curves.append((f"D, xi={xis[i]:+.2f}", gammas, dq[i, :, k], "dash"))
+                curves.append((f"I, xi={xis[i] + 0.0:+.2f}", gammas, mi[i, :, k], "line"))
+                curves.append((f"D, xi={xis[i] + 0.0:+.2f}", gammas, dq[i, :, k], "dash"))
                 bands.append((gammas, dq[i, :, k], mi[i, :, k]))
             xscale = "log" if min(gammas) > 0 else "linear"
             lpath = out / f"info_lines_{_plot_tag('j_xy', j_xy)}.svg"
             svgplot.line_plot(lpath, curves, bands=bands, xscale=xscale,
-                              title=f"total vs quantum correlation, j_xy = {j_xy:+.2f}",
+                              title=f"total vs quantum correlation, j_xy = {j_xy + 0.0:+.2f}",
                               xlabel="gamma", ylabel=unit_name)
             written.append(lpath)
     return written

@@ -36,7 +36,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "NoSteadyStateError",
     "vectorize",
-    "unvectorize",
     "dissipator_superoperator",
     "build_liouvillian",
     "evolve",
@@ -155,10 +154,6 @@ class EvolutionResult:
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A rho B) = (B^T kron A) vec(rho)."""
     return np.asarray(rho, dtype=complex).flatten(order="F")
-
-
-def unvectorize(v: np.ndarray, dim: int = 4) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
 def _commutator_superoperator(h: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "OUParams",
     "NoiseTrajectory",
     "sample_ou",
-    "stationary_covariance",
     "spectral_density",
     "correlation_transform",
 ]
@@ -129,19 +128,6 @@ def sample_ou(params: OUParams, dt: float, n_steps: int, seed: int) -> NoiseTraj
     values = np.pad(blocked.reshape(2, -1)[:, :n_steps].T, ((1, 0), (0, 0)))
     times = np.arange(n_steps + 1) * dt
     return NoiseTrajectory(times, values)
-
-
-def stationary_covariance(params: OUParams) -> np.ndarray:
-    """Equal-time covariance of the stationary process.
-
-    Solves A S + S A = B Xi B^T for diagonal A, giving
-    S_ij = (B Xi B^T)_ij / (a_i + a_j); equal to (b^2/2a) Xi for symmetric
-    channels.
-    """
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    forcing = np.outer(b, b) * params.correlation_matrix
-    return forcing / (a[:, None] + a[None, :])
 
 
 def spectral_density(params: OUParams, omega: float) -> np.ndarray:

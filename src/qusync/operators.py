@@ -21,7 +21,6 @@ __all__ = [
     "pauli",
     "kron",
     "basis_ket",
-    "partial_trace",
     "require_finite",
     "check_density_matrix",
     "write_csv",
@@ -81,34 +80,6 @@ def basis_ket(label: str) -> np.ndarray:
     ket = np.zeros(2 ** len(label), dtype=complex)
     ket[index] = 1.0
     return ket
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one side of a bipartite state.
-
-    Parameters
-    ----------
-    rho : array, shape (dA*dB, dA*dB)
-    dims : (dA, dB)
-        Subsystem dimensions; A occupies the slow index.
-    keep : "A" or "B"
-        Which reduced state to return.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d_a, d_b = dims
-    if d_a < 1 or d_b < 1:
-        raise DimensionError(f"invalid subsystem dims {dims}")
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionError(
-            f"state is {rho.shape}, expected {(d_a * d_b, d_a * d_b)} for dims {dims}"
-        )
-    r = rho.reshape(d_a, d_b, d_a, d_b)
-    side = keep.upper()
-    if side == "A":
-        return np.einsum("abcb->ac", r)
-    if side == "B":
-        return np.einsum("abad->bd", r)
-    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def require_finite(**values) -> None:

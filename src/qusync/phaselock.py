@@ -56,10 +56,9 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """Instantaneous amplitude and unwrapped phase of a series."""
+    """Unwrapped instantaneous phase of a series."""
 
     times: np.ndarray
-    amplitude: np.ndarray
     phase: np.ndarray
 
 
@@ -72,7 +71,8 @@ class SyncMetrics:
 
 
 def analytic_signal(series: TimeSeries) -> AnalyticSignal:
-    """Analytic signal of a mean-subtracted series via the Hilbert transform.
+    """Phase of the analytic signal of a mean-subtracted series, via the
+    Hilbert transform.
 
     The construction works in the frequency domain: negative frequencies are
     zeroed, positive ones doubled, DC and Nyquist kept as-is.  The phase is
@@ -85,12 +85,7 @@ def analytic_signal(series: TimeSeries) -> AnalyticSignal:
     spec = fft(x)
     spec[1:(x.size + 1) // 2] *= 2.0
     spec[x.size // 2 + 1:] = 0.0
-    z = ifft(spec)
-    return AnalyticSignal(
-        times=series.times,
-        amplitude=np.abs(z),
-        phase=np.unwrap(np.angle(z)),
-    )
+    return AnalyticSignal(times=series.times, phase=np.unwrap(np.angle(ifft(spec))))
 
 
 def phase_locking(delta_phi: np.ndarray) -> SyncMetrics:

@@ -5,6 +5,9 @@ Everything here deliberately avoids the library's own code paths, and no
 
 * the master equation in direct form, rebuilt from the Pauli matrices below,
   with its dissipators, the cross-site term and an RK4 integrator;
+* column-stacked vectors turned back into matrices, and the locked phase
+  that a generator's least-damped oscillating mode predicts;
+* the stationary covariance of the correlated Ornstein-Uhlenbeck pair;
 * one projector path for measurements on qubit B, which both the
   single-basis functions and the dense-grid discord scan use;
 * the exact rank-2 discord of Koashi & Winter with Wootters' concurrence;
@@ -95,6 +98,43 @@ def rk4_final_state(p, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarra
         k4 = _rhs(h, collapse, rho + dt * k3)
         rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
+
+
+def unvectorize(v: np.ndarray, dim: int = 4) -> np.ndarray:
+    """The matrix whose columns, stacked, are v: v[i + dim j] = m[i, j]."""
+    return np.asarray(v, dtype=complex).reshape(dim, dim).T
+
+
+def locked_phase(liouvillian: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """The phase shift of sz1 against sz2 that a 16x16 generator's spectrum
+    predicts, and the (kappa, omega) of the mode that carries it.
+
+    The mode is the right eigenvector R of the eigenvalue -kappa + i omega,
+    omega > 1e-9 (of a conjugate pair, the positive frequency that a Hilbert
+    phase follows), with the smallest kappa among those that reach both
+    qubits (|tr(sz_i R)| > 1e-9).  At long times sz_i oscillates as
+    Re(c tr(sz_i R) exp((-kappa + i omega) t)), so the locked phase is
+    arg(tr(sz1 R) / tr(sz2 R)).
+    """
+    lam, vecs = np.linalg.eig(np.asarray(liouvillian, dtype=complex))
+    sz1, sz2 = np.kron(SZ, I2), np.kron(I2, SZ)
+    for k in np.argsort(-lam.real):
+        if lam[k].imag > 1e-9:
+            r = unvectorize(vecs[:, k])
+            t1, t2 = np.trace(sz1 @ r), np.trace(sz2 @ r)
+            if abs(t1) > 1e-9 and abs(t2) > 1e-9:
+                return float(np.angle(t1 / t2)), (float(-lam[k].real), float(lam[k].imag))
+    raise ValueError("no oscillating mode of the generator reaches both qubits")
+
+
+def stationary_covariance(a, b, xi) -> np.ndarray:
+    """Equal-time covariance S of the stationary pair dE = -A E dt + B dW, for
+    diagonal A = diag(a), B = diag(b) and Wiener increments correlated by
+    Xi = [[1, xi], [xi, 1]]: A S + S A = B Xi B gives
+    S_ij = b_i b_j Xi_ij / (a_i + a_j)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    xi_matrix = np.array([[1.0, xi], [xi, 1.0]])
+    return np.outer(b, b) * xi_matrix / (a[:, None] + a[None, :])
 
 
 def loop_partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:

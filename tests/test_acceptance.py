@@ -31,6 +31,7 @@ from tests.oracles import (
     dense_grid_discord,
     koashi_winter_discord,
     site_operators,
+    unvectorize,
 )
 
 RHO0 = np.outer(basis_ket("10"), basis_ket("10").conj())
@@ -110,7 +111,7 @@ def test_c2_dissipator_decomposition_identity():
             unit = np.zeros(16, dtype=complex)
             unit[col] = 1.0
             cross[:, col] = lb.vectorize(
-                cross_dissipator_apply(p, lb.unvectorize(unit)))
+                cross_dissipator_apply(p, unvectorize(unit)))
         worst = max(worst, float(np.linalg.norm(left - (right + xi * cross))))
     elapsed = time.perf_counter() - start
     print(f"[criterion 2] worst Frobenius discrepancy {worst:.3e} ({elapsed:.2f}s)")

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -313,6 +314,22 @@ def test_sweep_values_sharing_a_file_exit_one(tmp_path, capsys, command, sweep, 
     assert not out.exists()
 
 
+def test_signed_zero_is_plus_zero_in_plot_names_and_titles(tmp_path):
+    # -0.0 gets the tag and the title of +0.0, as in the CSV file names
+    path = write_config(tmp_path, "[evolution]\nt_final = 1\n[sweep]\nxi = -0.0, 1\n"
+                        "gamma = 0.1, 0.2\nj_xy = -0.0\n[output]\nsave_states = true\n")
+    out = tmp_path / "out"
+    for command in ("info-sweep", "evolve"):
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert not [p.name for p in out.iterdir() if "-0.0" in p.name]
+    for name, title in (("info_heatmap_j+0.00.svg", "j_xy = +0.00"),
+                        ("info_lines_j+0.00.svg", "j_xy = +0.00"),
+                        ("trajectory_xi+0.000.svg", "xi = +0.00")):
+        text = (out / name).read_text(encoding="utf-8")
+        assert title in text and "-0.00" not in text
+    assert (out / "rho_ss_xi+0.000_g0.1_j+0.000.csv").exists()
+
+
 def test_fine_sweeps_accepted_where_no_file_is_tagged(tmp_path):
     path = write_config(tmp_path, "[evolution]\nt_final = 4\n[sweep]\nxi = 0.1234, 0.1231\n"
                         "gamma = 0.12341, 0.12342\nj_xy = 0.2501, 0.2604\n")
@@ -516,6 +533,31 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert len(modules) > 1 and not missing, missing
+
+
+def test_every_exported_name_is_read_by_the_library():
+    # a name that only tests read belongs in tests/oracles.py: each name in a
+    # module's __all__ is read somewhere in src/qusync (its own def or class
+    # line and the __all__ lists do not count), or perfbench/tracer.py wraps it
+    package = Path(qusync.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    tracer = ast.parse((package.parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    exported = [(info.name, name) for info in pkgutil.iter_modules(qusync.__path__)
+                for name in getattr(importlib.import_module(f"qusync.{info.name}"), "__all__", ())]
+    unread = [f"{module}.{name}" for module, name in exported
+              if name not in read and f"{module}.{name}" not in targets]
+    assert exported and not unread, unread
 
 
 def test_runs_without_scipy(tmp_path):

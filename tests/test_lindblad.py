@@ -15,6 +15,7 @@ from tests.oracles import (
     master_equation_rhs,
     rk4_final_state,
     site_operators,
+    unvectorize,
 )
 
 FIG_PARAMS = lb.ModelParams(delta=1.0, tau=1.0, j_xy=0.25, gamma=0.05, xi=0.0)
@@ -138,7 +139,7 @@ def test_cross_dissipator_trivial_cases():
 
 def test_vectorization_round_trip():
     rho = random_state(11)
-    assert_allclose(lb.unvectorize(lb.vectorize(rho)), rho, atol=0)
+    assert_allclose(unvectorize(lb.vectorize(rho)), rho, atol=0)
 
 
 @pytest.mark.parametrize("xi", [-1.0, -0.4, 0.0, 0.7, 1.0])
@@ -149,7 +150,7 @@ def test_liouvillian_matches_direct_rhs(channel, xi):
         p = lb.ModelParams(delta=-1.3, tau=0.7, j_xy=-0.6, gamma=gamma, xi=xi, channel=channel)
         liou = lb.build_liouvillian(p)
         rho = random_state(seed)
-        via_matrix = lb.unvectorize(liou @ lb.vectorize(rho))
+        via_matrix = unvectorize(liou @ lb.vectorize(rho))
         direct = master_equation_rhs(p, rho)
         assert np.abs(via_matrix - direct).max() < 1e-12
 
@@ -170,7 +171,7 @@ def test_liouvillian_trace_generator():
     p = lb.ModelParams(xi=0.5, gamma=0.2)
     liou = lb.build_liouvillian(p)
     for seed in range(3):
-        out = lb.unvectorize(liou @ lb.vectorize(random_state(seed + 60)))
+        out = unvectorize(liou @ lb.vectorize(random_state(seed + 60)))
         assert abs(out.trace()) < 1e-12
 
 
@@ -203,7 +204,7 @@ def test_superoperator_decomposition_identity():
             basis = np.zeros(16, dtype=complex)
             basis[rho_col] = 1.0
             cross[:, rho_col] = lb.vectorize(
-                cross_dissipator_apply(p, lb.unvectorize(basis)))
+                cross_dissipator_apply(p, unvectorize(basis)))
         assert np.linalg.norm(left - (right + xi * cross)) < 1e-12
 
 
@@ -292,7 +293,7 @@ def test_evolve_blocks_match_step_loop(n_steps):
     vecs = [lb.vectorize(rho0)]
     for _ in range(n_steps):
         vecs.append(prop @ vecs[-1])
-    want = np.stack([lb.unvectorize(v) for v in vecs])
+    want = np.stack([unvectorize(v) for v in vecs])
     assert res.states.shape == want.shape
     assert np.abs(res.states - want).max() <= 1e-12
     eye = np.eye(2)
