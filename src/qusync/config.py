@@ -76,8 +76,7 @@ class ExperimentConfig:
             values = getattr(self, field_name)
             if len(values) == 0:
                 raise ConfigError(f"sweep list '{name}' is empty", field_name)
-            if len(set(values)) < len(values):
-                first = next(v for i, v in enumerate(values) if v in values[i + 1:])
+            if (first := _first_repeat(values)) is not None:
                 raise ConfigError(f"sweep list '{name}' repeats {first!r}", field_name)
         if any(abs(x) > 1.0 for x in self.xi_values):
             raise ConfigError("sweep xi values must lie in [-1, 1]", "xi_values")
@@ -88,14 +87,20 @@ class ExperimentConfig:
         if not self.ranks or any(not 1 <= r <= 4 for r in self.ranks):
             raise ConfigError("ranks must be a non-empty list in [1, 4] for two-qubit states",
                               "ranks")
-        if len(set(self.ranks)) < len(self.ranks):
-            first = next(r for i, r in enumerate(self.ranks) if r in self.ranks[i + 1:])
+        if (first := _first_repeat(self.ranks)) is not None:
             raise ConfigError(f"list 'ranks' repeats {first!r}", "ranks")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", "seed")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1", "workers")
         return self
+
+
+def _first_repeat(values):
+    """The first of ``values`` that occurs again later in the list, or None."""
+    if len(set(values)) == len(values):
+        return None
+    return next(v for i, v in enumerate(values) if v in values[i + 1:])
 
 
 def _finite_float(raw: str) -> float:

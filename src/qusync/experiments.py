@@ -10,16 +10,16 @@ writes each xi's files as its trajectory completes and then drops it.
 ``info-sweep`` and ``discord-bench`` compute their points as stacks, with
 the same arithmetic as the one-point library functions: ``info-sweep``
 takes one stacked SVD of up to ``INFO_CHUNK`` generators, and
-``discord-bench`` runs one compass search over all its states.  The sweeps
-build their points in the order their CSV lists them (sorted axis values)
-and collect all rows before writing.  Output files are byte-identical for
-identical config and seed.
+``discord-bench`` runs one compass search over all its states.  Every
+command takes each swept value as one axis, ascending and with -0.0 as +0.0,
+and computes, names, writes and draws its points in that order.  Output
+files are byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +53,17 @@ class NumericalFailure(RuntimeError):
 INFO_CHUNK = 1024
 
 
-def _map_points(fn, items, workers: int):
-    """Yield ``fn(item)`` for every item, in input order."""
-    if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
+def _map_points(fn, cfg: ExperimentConfig, values):
+    """Yield ``fn(cfg, value)`` for every value, in input order."""
+    if cfg.workers <= 1 or len(values) <= 1:
+        yield from map(fn, repeat(cfg), values)
         return
     # imported here, so that serial runs do not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=chunk)
+    chunk = max(1, len(values) // (4 * cfg.workers))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        yield from pool.map(fn, repeat(cfg), values, chunksize=chunk)
 
 
 def _initial_state(cfg: ExperimentConfig) -> np.ndarray:
@@ -71,23 +71,20 @@ def _initial_state(cfg: ExperimentConfig) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _tag(name: str, value: float) -> str:
-    """The tag of a swept value in output file names."""
-    fmt = {"xi": "xi{:+.3f}", "gamma": "g{:.4g}", "j_xy": "j{:+.3f}"}[name]
-    return fmt.format(float(value) + 0.0)
+# File-name tags of swept values; info-sweep's per-j_xy plots take 2 decimals.
+XI_TAG, GAMMA_TAG, J_TAG, J_PLOT_TAG = "xi{:+.3f}", "g{:.4g}", "j{:+.3f}", "j{:+.2f}"
 
 
-def _plot_tag(name: str, value: float) -> str:
-    """The tag of a j_xy value in info-sweep's plot names, 2 decimals as written
-    and -0.0 as +0.0, as in ``_tag``, whose arguments it takes so that
-    ``_refuse_shared_tags`` can use it."""
-    return f"j{float(value) + 0.0:+.2f}"
+def _axis(values) -> list[float]:
+    """A swept value's axis: ascending floats, -0.0 as +0.0."""
+    return (np.sort(np.asarray(values, dtype=float)) + 0.0).tolist()
 
 
-def _refuse_shared_tags(tag=_tag, **sweeps) -> None:
-    """Refuse sweep values whose files would overwrite each other."""
-    for name, values in sweeps.items():
-        tags = [tag(name, v) for v in values]
+def _refuse_shared_tags(**sweeps) -> None:
+    """Refuse sweep values whose files would overwrite each other; each
+    sweep is given as ``name=(tag format, axis)``."""
+    for name, (fmt, values) in sweeps.items():
+        tags = [fmt.format(v) for v in values]
         for i, shared in enumerate(tags):
             if shared in tags[:i]:
                 raise ConfigError(f"sweep {name} values {values[tags.index(shared)]!r} and "
@@ -114,35 +111,35 @@ def _check_writable(path: Path) -> None:
         path.unlink()
 
 
-def _evolve_point(args) -> tuple[float, lindblad.EvolutionResult]:
-    cfg, xi = args
+def _evolve_point(cfg: ExperimentConfig, xi: float) -> lindblad.EvolutionResult:
     try:
-        result = lindblad.evolve(replace(cfg.model, xi=float(xi) + 0.0),
-                                 _initial_state(cfg), cfg.t_final, cfg.dt)
+        result = lindblad.evolve(replace(cfg.model, xi=xi), _initial_state(cfg),
+                                 cfg.t_final, cfg.dt)
     except (ValidationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"evolution failed at xi={xi:+.3f}: {exc}") from exc
     # callers read only times and observables, so the states are not sent back
-    return xi, replace(result, states=None)
+    return replace(result, states=None)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory CSV and magnetization plot for every xi in the sweep list."""
-    _refuse_shared_tags(xi=cfg.xi_values)
+    xis = _axis(cfg.xi_values)
+    _refuse_shared_tags(xi=(XI_TAG, xis))
     out = _out_dir(cfg)
-    _check_writable(out / f"trajectory_{_tag('xi', cfg.xi_values[0])}.csv")
+    _check_writable(out / f"trajectory_{XI_TAG.format(xis[0])}.csv")
     written = []
-    for xi, res in _map_points(_evolve_point, [(cfg, xi) for xi in cfg.xi_values],
-                               cfg.workers):
-        csv_path = out / f"trajectory_{_tag('xi', xi)}.csv"
+    for xi, res in zip(xis, _map_points(_evolve_point, cfg, xis)):
+        tag = XI_TAG.format(xi)
+        csv_path = out / f"trajectory_{tag}.csv"
         lindblad.save_evolution_csv(csv_path, res)
-        bloch_path = out / f"bloch_{_tag('xi', xi)}.csv"
+        bloch_path = out / f"bloch_{tag}.csv"
         lindblad.save_bloch_csv(bloch_path, res)
-        svg_path = out / f"trajectory_{_tag('xi', xi)}.svg"
+        svg_path = out / f"trajectory_{tag}.svg"
         svgplot.line_plot(
             svg_path,
             [("<sz1>", res.times, res.observables["sz1"]),
              ("<sz2>", res.times, res.observables["sz2"])],
-            title=f"magnetization, xi = {xi + 0.0:+.2f}",
+            title=f"magnetization, xi = {xi:+.2f}",
             xlabel="t", ylabel="<sz>",
         )
         written += [csv_path, bloch_path, svg_path]
@@ -150,16 +147,15 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
-def _sync_point(args) -> tuple[float, float, float, float, float]:
-    cfg, xi = args
-    xi, res = _evolve_point((cfg, xi))
+def _sync_point(cfg: ExperimentConfig, xi: float) -> tuple[float, float]:
+    res = _evolve_point(cfg, xi)
     s1 = phaselock.TimeSeries(res.times, res.observables["sz1"])
     s2 = phaselock.TimeSeries(res.times, res.observables["sz2"])
     try:
         metrics = phaselock.sync_metrics(s1, s2, cfg.window_fraction)
     except ValidationError as exc:
         raise NumericalFailure(f"phase analysis failed at xi={xi:+.3f}: {exc}") from exc
-    return (float(xi), cfg.model.gamma, cfg.model.j_xy, metrics.delta_phi, metrics.plv)
+    return metrics.delta_phi, metrics.plv
 
 
 def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
@@ -167,37 +163,32 @@ def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
     out = _out_dir(cfg)
     csv_path = out / "sync_sweep.csv"
     _check_writable(csv_path)
-    rows = list(_map_points(_sync_point, [(cfg, xi) for xi in sorted(cfg.xi_values)],
-                            cfg.workers))
-    phaselock.save_metrics_csv(csv_path, rows)
-    xis = [r[0] for r in rows]
+    xis = _axis(cfg.xi_values)
+    delta_phi, plv = np.array(list(_map_points(_sync_point, cfg, xis))).T
+    # every row holds the [model] gamma and j_xy, -0.0 as +0.0 as on an axis
+    gamma, j_xy = (_axis([v] * len(xis)) for v in (cfg.model.gamma, cfg.model.j_xy))
+    phaselock.save_metrics_csv(csv_path, [xis, gamma, j_xy, delta_phi, plv])
     dphi_path = out / "sync_delta_phi.svg"
     svgplot.line_plot(
-        dphi_path, [("delta phi", xis, [r[3] for r in rows])],
+        dphi_path, [("delta phi", xis, delta_phi)],
         title="asymptotic phase shift vs bath correlation",
         xlabel="xi", ylabel="delta phi (rad)",
     )
     plv_path = out / "sync_plv.svg"
     svgplot.line_plot(
-        plv_path, [("PLV", xis, [r[4] for r in rows])],
+        plv_path, [("PLV", xis, plv)],
         title="phase-locking value vs bath correlation",
         xlabel="xi", ylabel="PLV",
     )
     return [csv_path, dphi_path, plv_path]
 
 
-def _info_params(cfg: ExperimentConfig, point) -> lindblad.ModelParams:
-    xi, gamma, j_xy = point
-    return replace(cfg.model, xi=float(xi) + 0.0, gamma=float(gamma), j_xy=float(j_xy))
-
-
 def _raise_first_failure(cfg: ExperimentConfig, points) -> None:
     """Redo the points one at a time by the one-point functions, and raise a
     :class:`NumericalFailure` naming the first one that fails."""
     rho0 = _initial_state(cfg)
-    for point in points:
-        xi, gamma, j_xy = point
-        params = _info_params(cfg, point)
+    for xi, gamma, j_xy in points:
+        params = replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy)
         try:
             try:
                 lindblad.steady_state(params)
@@ -221,7 +212,7 @@ def _info_states(cfg: ExperimentConfig, points) -> tuple[np.ndarray, np.ndarray]
     states, degenerate = [], []
     for start in range(0, len(points), INFO_CHUNK):
         chunk = points[start:start + INFO_CHUNK]
-        params = [_info_params(cfg, point) for point in chunk]
+        params = [replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy) for xi, gamma, j_xy in chunk]
         try:
             rho, dims = lindblad._steady_states(
                 np.stack([lindblad.build_liouvillian(p) for p in params]))
@@ -242,15 +233,15 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     Where the fixed point is degenerate, the row holds the asymptotic state
     reached from the configured initial state, and the CSV flags it.
     """
+    xis, gammas, jxys = _axis(cfg.xi_values), _axis(cfg.gamma_values), _axis(cfg.jxy_values)
     if cfg.save_states:
-        _refuse_shared_tags(xi=cfg.xi_values, gamma=cfg.gamma_values, j_xy=cfg.jxy_values)
-    if len(cfg.gamma_values) > 1:
+        _refuse_shared_tags(xi=(XI_TAG, xis), gamma=(GAMMA_TAG, gammas), j_xy=(J_TAG, jxys))
+    if len(gammas) > 1:
         # each j_xy gets its own plots
-        _refuse_shared_tags(_plot_tag, j_xy=cfg.jxy_values)
+        _refuse_shared_tags(j_xy=(J_PLOT_TAG, jxys))
     out = _out_dir(cfg)
     csv_path = out / "info_sweep.csv"
     _check_writable(csv_path)
-    xis, gammas, jxys = sorted(cfg.xi_values), sorted(cfg.gamma_values), sorted(cfg.jxy_values)
     points = list(product(xis, gammas, jxys))
     states, degenerate = _info_states(cfg, points)
     mi, mi_classical = qinfo._informations(states, cfg.unit)
@@ -264,7 +255,7 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
 
     if cfg.save_states:
         for (xi, gamma, j_xy), rho in zip(points, states):
-            name = f"rho_ss_{_tag('xi', xi)}_{_tag('gamma', gamma)}_{_tag('j_xy', j_xy)}.csv"
+            name = f"rho_ss_{XI_TAG.format(xi)}_{GAMMA_TAG.format(gamma)}_{J_TAG.format(j_xy)}.csv"
             save_matrix_csv(out / name, rho)
             written.append(out / name)
 
@@ -275,21 +266,21 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     picks = sorted({0, min(range(len(xis)), key=lambda i: abs(xis[i])), len(xis) - 1})
     for k, j_xy in enumerate(jxys):
         if len(xis) > 1 and len(gammas) > 1:
-            hpath = out / f"info_heatmap_{_plot_tag('j_xy', j_xy)}.svg"
+            hpath = out / f"info_heatmap_{J_PLOT_TAG.format(j_xy)}.svg"
             svgplot.heatmap(hpath, xis, gammas, mi[:, :, k],
-                            title=f"mutual information ({unit_name}), j_xy = {j_xy + 0.0:+.2f}",
+                            title=f"mutual information ({unit_name}), j_xy = {j_xy:+.2f}",
                             xlabel="xi", ylabel="gamma")
             written.append(hpath)
         if len(gammas) > 1:
             curves, bands = [], []
             for i in picks:
-                curves.append((f"I, xi={xis[i] + 0.0:+.2f}", gammas, mi[i, :, k], "line"))
-                curves.append((f"D, xi={xis[i] + 0.0:+.2f}", gammas, dq[i, :, k], "dash"))
+                curves.append((f"I, xi={xis[i]:+.2f}", gammas, mi[i, :, k], "line"))
+                curves.append((f"D, xi={xis[i]:+.2f}", gammas, dq[i, :, k], "dash"))
                 bands.append((gammas, dq[i, :, k], mi[i, :, k]))
             xscale = "log" if min(gammas) > 0 else "linear"
-            lpath = out / f"info_lines_{_plot_tag('j_xy', j_xy)}.svg"
+            lpath = out / f"info_lines_{J_PLOT_TAG.format(j_xy)}.svg"
             svgplot.line_plot(lpath, curves, bands=bands, xscale=xscale,
-                              title=f"total vs quantum correlation, j_xy = {j_xy + 0.0:+.2f}",
+                              title=f"total vs quantum correlation, j_xy = {j_xy:+.2f}",
                               xlabel="gamma", ylabel=unit_name)
             written.append(lpath)
     return written
@@ -309,9 +300,8 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     mi, discord, classical, angles, _ = qinfo._discords(rho, cfg.unit)
     # degree of quantumness: I(A:B) minus the diagonal-truncation one
     dq = mi - qinfo._informations(rho, cfg.unit)[1]
-    rows = [(seed, rank, *values, theta, phi) for (seed, rank), *values, (theta, phi)
-            in zip(draws, purity, mi, discord, classical, dq, angles)]
-    qinfo.save_discord_csv(csv_path, rows)
+    qinfo.save_discord_csv(csv_path, [*zip(*draws), purity, mi, discord, classical, dq,
+                                      *zip(*angles)])
     written = [csv_path]
 
     groups = [slice(k * n, (k + 1) * n) for k in range(len(ranks))]  # one slice per rank

@@ -67,8 +67,9 @@ class NoiseTrajectory:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.times.size, 2):
             raise ValidationError("values must have shape (len(times), 2)")
+        require_finite(times=self.times, values=self.values)
         dt = np.diff(self.times)
-        if self.times.size < 2 or dt.min() <= 0 or np.ptp(dt) > 1e-9 * dt[0]:
+        if self.times.size < 2 or not (dt.min() > 0 and np.ptp(dt) <= 1e-9 * dt[0]):
             raise ValidationError("times must be a strictly increasing uniform grid")
 
     @property
@@ -103,6 +104,7 @@ def sample_ou(params: OUParams, dt: float, n_steps: int, seed: int) -> NoiseTraj
     ``lindblad.evolve``: one stacked product with the kernel decay^(j-i) gives
     each block from a zero start, and decay^BLOCK carries the block ends on.
     """
+    require_finite(dt=dt)
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if n_steps < 1:
@@ -135,6 +137,7 @@ def spectral_density(params: OUParams, omega: float) -> np.ndarray:
 
     Hermitian, and positive semidefinite whenever |xi| <= 1.
     """
+    require_finite(omega=omega)
     a = np.diag(np.asarray(params.a, dtype=float)).astype(complex)
     b = np.diag(np.asarray(params.b, dtype=float))
     eye = np.eye(2)
@@ -150,6 +153,7 @@ def correlation_transform(xi: float) -> tuple[np.ndarray, tuple[float, float]]:
     symmetric combination carries weight 1+xi, the antisymmetric one 1-xi.
     These are the rates inherited by the collective jump operators.
     """
+    require_finite(xi=xi)
     if abs(xi) > 1.0:
         raise ValidationError(f"|xi| must be <= 1, got {xi}")
     t = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)

@@ -17,7 +17,6 @@ from .operators import ValidationError, require_finite, write_csv
 
 __all__ = [
     "TimeSeries",
-    "AnalyticSignal",
     "SyncMetrics",
     "analytic_signal",
     "phase_locking",
@@ -55,14 +54,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class AnalyticSignal:
-    """Unwrapped instantaneous phase of a series."""
-
-    times: np.ndarray
-    phase: np.ndarray
-
-
-@dataclass(frozen=True)
 class SyncMetrics:
     """Circular-mean phase shift in (-pi, pi] and phase-locking value."""
 
@@ -70,22 +61,26 @@ class SyncMetrics:
     plv: float
 
 
-def analytic_signal(series: TimeSeries) -> AnalyticSignal:
-    """Phase of the analytic signal of a mean-subtracted series, via the
-    Hilbert transform.
+def analytic_signal(series: TimeSeries) -> np.ndarray:
+    """Unwrapped instantaneous phase, one value per sample, of the analytic
+    signal of a mean-subtracted series, via the Hilbert transform.
 
     The construction works in the frequency domain: negative frequencies are
-    zeroed, positive ones doubled, DC and Nyquist kept as-is.  The phase is
-    unwrapped.  A constant series carries no phase and raises
-    :class:`ValidationError`.
+    zeroed, positive ones doubled, DC and Nyquist kept as-is.  A constant
+    series carries no phase and raises :class:`ValidationError`.
     """
-    x = series.values - series.values.mean()
+    return _phase(series.values)
+
+
+def _phase(values: np.ndarray) -> np.ndarray:
+    """:func:`analytic_signal` of samples already checked as a series."""
+    x = values - values.mean()
     if np.abs(x).max() == 0.0:
         raise ValidationError("series is constant: no oscillation to extract")
     spec = fft(x)
     spec[1:(x.size + 1) // 2] *= 2.0
     spec[x.size // 2 + 1:] = 0.0
-    return AnalyticSignal(times=series.times, phase=np.unwrap(np.angle(ifft(spec))))
+    return np.unwrap(np.angle(ifft(spec)))
 
 
 def phase_locking(delta_phi: np.ndarray) -> SyncMetrics:
@@ -109,7 +104,9 @@ def sync_metrics(
     Both series are restricted to the trailing ``window_fraction`` of their
     common grid, baseline-subtracted (window mean), and Hilbert-transformed;
     ``EDGE_TRIM`` of the window is discarded at each end to suppress
-    transform edge artifacts before the circular statistics are taken.
+    transform edge artifacts before the circular statistics are taken.  The
+    window holds at least ``MIN_SAMPLES`` samples; a constant one raises
+    :class:`ValidationError`.
     """
     if not (0.0 < window_fraction <= 1.0):
         raise ValidationError(f"window_fraction must be in (0, 1], got {window_fraction}")
@@ -117,16 +114,12 @@ def sync_metrics(
         raise ValidationError("series must share one time grid")
     n = s1.times.size
     n_win = max(int(round(n * window_fraction)), MIN_SAMPLES)
-    sl = slice(n - n_win, n)
-    w1 = TimeSeries(s1.times[sl], s1.values[sl])
-    w2 = TimeSeries(s2.times[sl], s2.values[sl])
-    ph1 = analytic_signal(w1).phase
-    ph2 = analytic_signal(w2).phase
+    dphi = _phase(s1.values[n - n_win:]) - _phase(s2.values[n - n_win:])
     trim = int(round(EDGE_TRIM * n_win))
     keep = slice(trim, n_win - trim) if trim > 0 else slice(None)
-    return phase_locking((ph1 - ph2)[keep])
+    return phase_locking(dphi[keep])
 
 
-def save_metrics_csv(path, rows) -> None:
-    """Write sweep metrics rows of (xi, gamma, jxy, delta_phi, plv)."""
-    write_csv(path, ("xi", "gamma", "jxy", "delta_phi", "plv"), list(zip(*rows)))
+def save_metrics_csv(path, columns) -> None:
+    """Write the sweep metrics columns xi, gamma, jxy, delta_phi and plv."""
+    write_csv(path, ("xi", "gamma", "jxy", "delta_phi", "plv"), columns)

@@ -385,9 +385,9 @@ def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:
             return rho
 
 
-def save_discord_csv(path, rows) -> None:
-    """Write benchmark rows: seed, rank, purity, mutual_info, discord,
-    classical_corr, degree_of_quantumness, theta_opt, phi_opt."""
+def save_discord_csv(path, columns) -> None:
+    """Write the benchmark columns seed, rank, purity, mutual_info, discord,
+    classical_corr, degree_of_quantumness, theta_opt and phi_opt."""
     header = ("seed", "rank", "purity", "mutual_info", "discord", "classical_corr",
               "degree_of_quantumness", "theta_opt", "phi_opt")
-    write_csv(path, header, list(zip(*rows)))
+    write_csv(path, header, columns)

@@ -315,7 +315,8 @@ def test_sweep_values_sharing_a_file_exit_one(tmp_path, capsys, command, sweep, 
 
 
 def test_signed_zero_is_plus_zero_in_plot_names_and_titles(tmp_path):
-    # -0.0 gets the tag and the title of +0.0, as in the CSV file names
+    # -0.0 gets the tag, the title and the CSV cells of +0.0, as in the CSV
+    # file names
     path = write_config(tmp_path, "[evolution]\nt_final = 1\n[sweep]\nxi = -0.0, 1\n"
                         "gamma = 0.1, 0.2\nj_xy = -0.0\n[output]\nsave_states = true\n")
     out = tmp_path / "out"
@@ -328,6 +329,15 @@ def test_signed_zero_is_plus_zero_in_plot_names_and_titles(tmp_path):
         text = (out / name).read_text(encoding="utf-8")
         assert title in text and "-0.00" not in text
     assert (out / "rho_ss_xi+0.000_g0.1_j+0.000.csv").exists()
+    # on the swept axes, and in the [model] values that sync_sweep.csv writes
+    path = write_config(tmp_path, "[model]\ngamma = -0.0\nj_xy = -0.0\n[evolution]\nt_final = 4\n"
+                        "[sweep]\nxi = -0.0, 0.5\ngamma = 0.1\nj_xy = -0.0\n", name="model.ini")
+    out = tmp_path / "tables"
+    for command in ("info-sweep", "sync-sweep"):
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    for name in ("info_sweep.csv", "sync_sweep.csv"):
+        _, rows = _load_csv(out / name)
+        assert len(rows) == 2 and "-0" not in [cell for row in rows for cell in row], name
 
 
 def test_fine_sweeps_accepted_where_no_file_is_tagged(tmp_path):
@@ -481,10 +491,10 @@ def test_sweep_outputs_do_not_depend_on_config_order(tmp_path):
                 "[sweep]\nxi = %s\ngamma = %s\nj_xy = %s\n[discord]\nranks = %s\nn_states = 2\n")
         path = write_config(tmp_path, text % lists, name=f"{name}.ini")
         out = tmp_path / name
-        for command in ("sync-sweep", "info-sweep", "discord-bench"):
+        for command in ("evolve", "sync-sweep", "info-sweep", "discord-bench"):
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
         written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(written["sorted"]) == 24
+    assert len(written["sorted"]) == 33
     assert written["shuffled"] == written["sorted"]
 
 

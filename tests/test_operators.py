@@ -178,6 +178,19 @@ def _series(times=0.0, values=0.0):
     pytest.param("t_final", lambda: _evolve(t_final=math.inf), id="evolve.t_final"),
     pytest.param("times", lambda: _series(times=math.nan), id="TimeSeries.times"),
     pytest.param("values", lambda: _series(values=math.nan), id="TimeSeries.values"),
+    pytest.param("dt", lambda: noise.sample_ou(noise.OUParams(), math.nan, 5, seed=1),
+                 id="sample_ou.dt-nan"),
+    pytest.param("dt", lambda: noise.sample_ou(noise.OUParams(), math.inf, 5, seed=1),
+                 id="sample_ou.dt-inf"),
+    pytest.param("times", lambda: noise.NoiseTrajectory([0.0, math.nan, 2.0], np.zeros((3, 2))),
+                 id="NoiseTrajectory.times"),
+    pytest.param("values", lambda: noise.NoiseTrajectory([0.0, 1.0, 2.0],
+                                                         [[0.0, 0.0], [math.inf, 0.0], [0.0, 0.0]]),
+                 id="NoiseTrajectory.values"),
+    pytest.param("omega", lambda: noise.spectral_density(noise.OUParams(), math.nan),
+                 id="spectral_density.omega"),
+    pytest.param("xi", lambda: noise.correlation_transform(math.nan),
+                 id="correlation_transform.xi"),
 ])
 def test_library_inputs_reject_non_finite(field, build):
     with pytest.raises(ops.ValidationError, match=f"^{field} must be finite"):
@@ -322,9 +335,9 @@ def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
     n = 300
     xi, gamma = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
     jxy = rng.choice([-1.0, 0.0, 1.0], n)
-    sync_rows = list(zip(xi, gamma, jxy, rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 1, n)))
+    sync_columns = [xi, gamma, jxy, rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 1, n)]
     percent, kernel = both_paths(monkeypatch, tmp_path,
-                                 lambda path: phaselock.save_metrics_csv(path, sync_rows))
+                                 lambda path: phaselock.save_metrics_csv(path, sync_columns))
     assert kernel == percent
     # tables with a string or integer column go through the row template
     path = tmp_path / "t.csv"
@@ -336,10 +349,11 @@ def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
         assert path.read_text() == template_text(header, [c.tolist() for c in info] + [flags])
     seeds = [2**63 - 1, 0, 1, 2**62 + 12345] + rng.integers(0, 2**63 - 1, n - 4).tolist()
     ranks = rng.integers(2, 5, n).tolist()
-    discord_rows = [(s, r, *rng.uniform(0, 1, 7).tolist()) for s, r in zip(seeds, ranks)]
-    qinfo.save_discord_csv(path, discord_rows)
+    # the same draws as 7 values per row: the (n, 7) array is filled row by row
+    discord_columns = [seeds, ranks, *rng.uniform(0, 1, (n, 7)).T.tolist()]
+    qinfo.save_discord_csv(path, discord_columns)
     header = path.read_text().split("\n")[0].split(",")
-    assert path.read_text() == template_text(header, list(zip(*discord_rows)))
+    assert path.read_text() == template_text(header, discord_columns)
     assert path.read_text().splitlines()[1].startswith("9223372036854775807,")
 
 

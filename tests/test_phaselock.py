@@ -26,19 +26,19 @@ def test_time_series_validation():
 
 def test_analytic_signal_cosine_phase_slope():
     t = np.arange(0.0, 20 * np.pi, 0.01)
-    sig = pl.analytic_signal(pl.TimeSeries(t, np.cos(t)))
+    phase = pl.analytic_signal(pl.TimeSeries(t, np.cos(t)))
     n = t.size
     sl = slice(int(0.05 * n), int(0.95 * n))
-    slope = np.polyfit(t[sl], sig.phase[sl], 1)[0]
+    slope = np.polyfit(t[sl], phase[sl], 1)[0]
     assert slope == pytest.approx(1.0, rel=0.01)
 
 
 def test_analytic_signal_known_frequency():
     t = np.arange(0.0, 20 * np.pi, 0.01)
-    sig = pl.analytic_signal(pl.TimeSeries(t, np.sin(2.0 * t)))
+    phase = pl.analytic_signal(pl.TimeSeries(t, np.sin(2.0 * t)))
     n = t.size
     sl = slice(int(0.05 * n), int(0.95 * n))
-    slope = np.polyfit(t[sl], sig.phase[sl], 1)[0]
+    slope = np.polyfit(t[sl], phase[sl], 1)[0]
     assert slope == pytest.approx(2.0, rel=0.01)
 
 
@@ -54,7 +54,7 @@ def test_analytic_signal_matches_scipy_fft(n):
     spec[n // 2 + 1:] = 0.0
     z = ifft(spec)
     got = pl.analytic_signal(pl.TimeSeries(t, x))
-    assert np.abs(got.phase - np.unwrap(np.angle(z))).max() <= 1e-12
+    assert np.abs(got - np.unwrap(np.angle(z))).max() <= 1e-12
 
 
 def test_analytic_signal_constant_rejected():
@@ -64,8 +64,8 @@ def test_analytic_signal_constant_rejected():
 
 
 def test_analytic_signal_phase_continuity():
-    sig = pl.analytic_signal(sine_series())
-    assert np.abs(np.diff(sig.phase)).max() < np.pi
+    phase = pl.analytic_signal(sine_series())
+    assert np.abs(np.diff(phase)).max() < np.pi
 
 
 def test_identical_signals_lock_at_zero():
@@ -148,9 +148,9 @@ def test_mismatched_grids_rejected():
 
 
 def test_metrics_csv(tmp_path):
-    rows = [(-1.0, 0.05, 0.25, 3.14, 0.99), (1.0, 0.05, 0.25, 0.0, 0.98)]
+    columns = [(-1.0, 1.0), (0.05, 0.05), (0.25, 0.25), (3.14, 0.0), (0.99, 0.98)]
     path = tmp_path / "m.csv"
-    pl.save_metrics_csv(path, rows)
+    pl.save_metrics_csv(path, columns)
     lines = path.read_text().splitlines()
     assert lines[0] == "xi,gamma,jxy,delta_phi,plv"
     assert lines[1] == "-1,0.050000000000000003,0.25,3.1400000000000001,0.98999999999999999"

@@ -513,10 +513,9 @@ def test_random_density_matrix_purity_ensemble():
 
 
 def test_discord_csv(tmp_path):
-    rows = [(1, 2, 0.8, 1.0, 0.9, 0.1, 0.85, 0.3, 1.2),
-            (2**60 + 1, 2, 0.8, 1.0, 0.9, 0.1, 0.85, 0.3, 1.2)]
+    columns = [(1, 2**60 + 1), (2, 2), *[(v, v) for v in (0.8, 1.0, 0.9, 0.1, 0.85, 0.3, 1.2)]]
     path = tmp_path / "bench.csv"
-    qinfo.save_discord_csv(path, rows)
+    qinfo.save_discord_csv(path, columns)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("seed,rank,purity,mutual_info,discord,")
     assert lines[1].startswith("1,2,0.8")
