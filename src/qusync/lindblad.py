@@ -10,6 +10,9 @@ null spaces of one SVD of L, where a singular value counts as zero up to
 ``NULL_ATOL * max(||L||_2, 1)``.  That rule runs on a stack of generators
 (``_steady_states``, one stacked SVD), and the one-generator functions are
 its stack-of-one case, so a stacked sweep gives the same states bit for bit.
+A trajectory is stored entry-major: one (16, n) array whose row 4 j + i holds
+rho_ij at every step, so that its check and its observables read contiguous
+entries, and its (n, 4, 4) states are a view of that array.
 """
 
 from __future__ import annotations
@@ -107,12 +110,41 @@ _OPS = {
     **{f"s{axis}2": kron(_I2, pauli(axis)) for axis in "xyz"},
     "exchange": kron(pauli("plus"), pauli("minus")) + kron(pauli("minus"), pauli("plus")),
 }
-# tr(rho O) = vec(rho) . ravel(O) under column stacking, so each row of this
-# table turns a vectorized state into one Pauli expectation.
-_PAULI_NAMES = ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
-_PAULI_WEIGHTS = np.stack([_OPS[name].ravel() for name in _PAULI_NAMES])
-for _m in [*_OPS.values(), _PAULI_WEIGHTS]:
+# tr(rho O) = vec(rho) . ravel(O) under column stacking.  Each Pauli O here
+# has four non-zero weights, each +-1 or +-i, so each of its terms is +- the
+# real or the imaginary part of one entry: (k, real part?, sign).
+_PAULI_TERMS = {
+    name: [(k, w.imag == 0, w.real - w.imag) for k, w in enumerate(_OPS[name].ravel()) if w]
+    for name in ("sz1", "sz2", "sx1", "sx2", "sy1", "sy2")
+}
+for _m in _OPS.values():
     _m.setflags(write=False)
+
+
+def _expectation(traj: np.ndarray, terms) -> np.ndarray:
+    """tr(rho O) at every step of an entry-major (16, n) trajectory, from the
+    non-zero ``_PAULI_TERMS`` of O added as 0 + t_1 + t_2 + ...: the order of
+    a dense einsum over all 16 weights, whose zero terms change no sum of
+    finite entries, so the same bits."""
+    total = 0.0
+    for k, real, sign in terms:
+        x = traj[k].real if real else traj[k].imag
+        total = total + x if sign > 0 else total - x
+    return total
+
+
+def _purity(states: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each state of an (n, 4, 4) stack, as the sum over j of
+    the sums over i of Re(rho_ij rho_ji): the order of a dense einsum, so the
+    same bits."""
+    purity = 0.0
+    for j in range(4):
+        column = 0.0
+        for i in range(4):
+            a, b = states[:, i, j], states[:, j, i]
+            column = column + (a.real * b.real - a.imag * b.imag)
+        purity = purity + column
+    return purity
 
 
 @dataclass(frozen=True)
@@ -147,7 +179,7 @@ class EvolutionResult:
     """States and observables recorded at every propagation step."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n, 4, 4)
+    states: np.ndarray  # shape (n, 4, 4), from evolve a view of its entry-major array
     observables: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -238,12 +270,16 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     squaring with a Padé approximant (Higham, SIAM J. Matrix Anal. Appl. 26,
     1179 (2005)).  It precomputes P^1..P^BLOCK and fills each block of
     ``BLOCK`` states with one stacked product from the state before the
-    block.
+    block, transposed into a (16, n_steps + 1) entry-major array;
+    ``states`` is an (n_steps + 1, 4, 4) view of it, so ``states[:, i, j]``
+    is contiguous.
 
     The recorded states are checked as one stack by ``check_density_matrix``
     at ``atol=STATE_ATOL``; a violation raises its ``ValidationError``,
     which names the first offending step, e.g. ``step 7 is not Hermitian (max
-    deviation nan)``.  The observables are ``s{x,y,z}{1,2}`` and the purity.
+    deviation nan)``.  The observables are ``s{x,y,z}{1,2}``, each from the
+    four entries where its Pauli matrix is non-zero, and the purity, with
+    the bits of dense einsums over all 16 entries.
     A step count whose states numpy cannot size raises ``ValidationError``
     naming it, ``t_final`` and ``dt``, before anything is allocated.
     """
@@ -256,29 +292,30 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     lm = build_liouvillian(p)
     try:
         n_steps = int(round(t_final / dt))
-        vecs = np.empty((n_steps + 1, 16), dtype=complex)
+        traj = np.empty((16, n_steps + 1), dtype=complex)
     except (OverflowError, ValueError) as exc:  # inf steps, or an array numpy cannot size
         raise ValidationError(f"{t_final / dt:.3g} steps (t_final = {t_final}, dt = {dt}) "
                               f"are too many to store") from exc
     v = vectorize(rho0)
-    vecs[0] = v
+    traj[:, 0] = v
     # powers[j] = P^(j+1) for the one-step propagator P = exp(L dt)
     powers = np.empty((BLOCK, 16, 16), dtype=complex)
     powers[0] = _expm(lm * dt)
     for j in range(1, BLOCK):
         powers[j] = powers[0] @ powers[j - 1]
     for start in range(0, n_steps, BLOCK):
-        rows = vecs[start + 1:start + 1 + BLOCK]
-        rows[:] = powers[:len(rows)] @ v
+        # a stack of matrix-vector products: one (16 m, 16) @ v product gives
+        # the same bits, but through BLAS it took 30 times longer
+        rows = powers[:min(BLOCK, n_steps - start)] @ v
+        traj[:, start + 1:start + 1 + len(rows)] = rows.T
         v = rows[-1]
 
-    states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # undo column stacking
+    # traj[4 j + i] holds rho_ij of every step (column stacking)
+    states = traj.reshape(4, 4, -1).transpose(2, 1, 0)
     check_density_matrix(states, atol=STATE_ATOL, name="step")
 
-    # einsum, not @: a product this size would wake a second BLAS thread
-    paulis = np.einsum("nk,qk->qn", vecs, _PAULI_WEIGHTS).real
-    observables = dict(zip(_PAULI_NAMES, paulis))
-    observables["purity"] = np.einsum("nij,nji->n", states, states).real
+    observables = {name: _expectation(traj, terms) for name, terms in _PAULI_TERMS.items()}
+    observables["purity"] = _purity(states)
     times = np.arange(n_steps + 1) * dt
     return EvolutionResult(times=times, states=states, observables=observables)
 

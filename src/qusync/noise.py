@@ -65,6 +65,8 @@ class NoiseTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.times.ndim != 1:
+            raise ValidationError(f"times must be 1-D, got shape {self.times.shape}")
         if self.values.shape != (self.times.size, 2):
             raise ValidationError("values must have shape (len(times), 2)")
         require_finite(times=self.times, values=self.values)

@@ -37,8 +37,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        for name in ("times", "values"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            if array.ndim != 1:
+                raise ValidationError(f"{name} must be 1-D, got shape {array.shape}")
+            object.__setattr__(self, name, array)
         if self.times.size != self.values.size:
             raise ValidationError("times and values must have equal length")
         require_finite(times=self.times, values=self.values)

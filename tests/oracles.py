@@ -5,8 +5,9 @@ Everything here deliberately avoids the library's own code paths, and no
 
 * the master equation in direct form, rebuilt from the Pauli matrices below,
   with its dissipators, the cross-site term and an RK4 integrator;
-* column-stacked vectors turned back into matrices, and the locked phase
-  that a generator's least-damped oscillating mode predicts;
+* column-stacked vectors turned back into matrices, the Pauli expectations
+  and purity of a trajectory as dense einsums, and the locked phase that a
+  generator's least-damped oscillating mode predicts;
 * the stationary covariance of the correlated Ornstein-Uhlenbeck pair;
 * one projector path for measurements on qubit B, which both the
   single-basis functions and the dense-grid discord scan use;
@@ -103,6 +104,24 @@ def rk4_final_state(p, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarra
 def unvectorize(v: np.ndarray, dim: int = 4) -> np.ndarray:
     """The matrix whose columns, stacked, are v: v[i + dim j] = m[i, j]."""
     return np.asarray(v, dtype=complex).reshape(dim, dim).T
+
+
+def einsum_observables(states: np.ndarray) -> dict[str, np.ndarray]:
+    """The expectations of sz, sx and sy on each qubit, and the purity, of an
+    (n, 4, 4) stack, as dense einsums over all 16 entries of its
+    column-stacked (n, 16) vectors: the reference that the propagation's
+    observables must equal bit for bit.  An einsum adds in an order that
+    depends on its operands' strides, so the vectors are made contiguous."""
+    states = np.asarray(states, dtype=complex)
+    vecs = np.ascontiguousarray(states.transpose(0, 2, 1)).reshape(len(states), 16)
+    ops = {}
+    for axis, m in (("z", SZ), ("x", SX), ("y", SY)):
+        ops[f"s{axis}1"], ops[f"s{axis}2"] = np.kron(m, I2), np.kron(I2, m)
+    weights = np.stack([op.ravel() for op in ops.values()])
+    out = dict(zip(ops, np.einsum("nk,qk->qn", vecs, weights).real))
+    rho = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
+    out["purity"] = np.einsum("nij,nji->n", rho, rho).real
+    return out
 
 
 def locked_phase(liouvillian: np.ndarray) -> tuple[float, tuple[float, float]]:

@@ -10,6 +10,7 @@ from tests.oracles import (
     collapse_ops,
     cross_dissipator_apply,
     dissipator_apply,
+    einsum_observables,
     hamiltonian,
     load_matrix_csv,
     master_equation_rhs,
@@ -302,6 +303,34 @@ def test_evolve_blocks_match_step_loop(n_steps):
                          (f"s{axis}2", kron(eye, pauli(axis)))):
             expect = np.einsum("nij,ji->n", want, op).real
             assert np.abs(res.observables[name] - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("channel", list(lb.Channel))
+def test_evolve_observables_equal_dense_einsums_bit_for_bit(channel):
+    # evolve adds only the non-zero terms; the dense einsums add all 16
+    for xi in (-1.0, -0.35, 0.0, 0.6, 1.0):
+        for label in ("00", "01", "10"):
+            res = lb.evolve(lb.ModelParams(xi=xi, channel=channel), ket_density(label),
+                            t_final=20.0, dt=0.01)
+            for name, want in einsum_observables(res.states).items():
+                got = res.observables[name]
+                assert np.array_equal(got, want), (xi, label, name)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (xi, label, name)
+
+
+def test_observable_sums_keep_the_signed_zeros_of_dense_einsums():
+    # entries drawn from +-0, +-1 and +-0.5, so that many sums are zero and
+    # only the order of the additions decides their sign
+    rng = np.random.default_rng(23)
+    traj = np.empty((16, 4000), dtype=complex)
+    traj.real, traj.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -0.5], (2, 16, 4000),
+                                      p=[.3, .3, .1, .1, .1, .1])
+    states = traj.reshape(4, 4, -1).transpose(2, 1, 0)
+    got = {name: lb._expectation(traj, terms) for name, terms in lb._PAULI_TERMS.items()}
+    got["purity"] = lb._purity(states)
+    for name, want in einsum_observables(states).items():
+        assert np.array_equal(got[name], want), name
+        assert np.array_equal(np.signbit(got[name]), np.signbit(want)), name
 
 
 def test_evolve_trajectory_invariants():

@@ -24,6 +24,11 @@ def test_sample_rejects_bad_grid():
         noise.sample_ou(p, dt=0.01, n_steps=0, seed=1)
 
 
+def test_trajectory_refuses_times_that_are_not_1d():
+    with pytest.raises(ValidationError, match=r"^times must be 1-D, got shape \(3, 1\)$"):
+        noise.NoiseTrajectory(np.arange(3.0).reshape(3, 1), np.zeros((3, 2)))
+
+
 def test_deterministic_for_fixed_seed():
     p = noise.OUParams(xi=0.3)
     t1 = noise.sample_ou(p, 0.01, 500, seed=42)

@@ -154,6 +154,113 @@ def test_check_density_matrix_stack_matches_single_states():
     assert single_error(pool[5]) is None  # -5e-11 is within ATOL
 
 
+# --- The positivity screen against eigvalsh ---------------------------------
+
+# Where |lambda_min + atol| is below this, the pivots of rho + atol*I and
+# eigvalsh's smallest eigenvalue may round to different sides of the
+# boundary (states here have norm at most about 1).
+SCREEN_BAND = 1e-14
+
+
+def entry_major(stack):
+    """The same states, stored as evolve stores them: stack[:, i, j] contiguous."""
+    return np.ascontiguousarray(stack.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+def with_spectra(rng, lam):
+    """Hermitian states with the spectra of the rows of lam, in seeded bases."""
+    n, d = lam.shape
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    m = q @ (lam[:, :, None] * q.conj().swapaxes(1, 2))
+    return (m + m.conj().swapaxes(1, 2)) / 2.0
+
+
+def screen_families(rng, d, n, atol):
+    """n seeded d x d states of each family: rank-deficient states; states
+    whose smallest eigenvalue is within 1e-9 of -atol; states with one NaN
+    or infinite entry; and such shifted states made non-Hermitian below the
+    diagonal only."""
+    rank = rng.integers(1, d, n)
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    g *= np.arange(d) < rank[:, None, None]
+    low_rank = g @ g.conj().swapaxes(1, 2)
+    low_rank /= np.trace(low_rank, axis1=1, axis2=2).real[:, None, None]
+    lam = rng.dirichlet(np.ones(d), n)
+    lam[:, 0] = -atol + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15, -9, n)
+    non_finite = with_spectra(rng, rng.dirichlet(np.ones(d), n))
+    i, j = rng.integers(0, d, (2, n))
+    non_finite[np.arange(n), i, j] = rng.choice(
+        [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0), complex(0, np.nan)], n)
+    below = np.tril(np.ones((d, d), dtype=bool), -1)
+    lower_only = with_spectra(rng, lam) + below * 1e-9 * (
+        rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    return {"rank-deficient": low_rank, "shifted": with_spectra(rng, lam),
+            "non-finite": non_finite, "lower-only": lower_only}
+
+
+def lowest_eigenvalues(stack):
+    """eigvalsh's smallest eigenvalue of the Hermitian matrix that the lower
+    triangle and the diagonal's real part define, NaN where one of those is
+    not finite: LAPACK is no oracle there (it returned -0 for a 2x2 with a
+    NaN diagonal entry)."""
+    d = stack.shape[-1]
+    lower = np.tril(np.ones((d, d), dtype=bool))
+    read = [np.where(lower, stack.real, 0.0), np.where(np.tril(lower, -1), stack.imag, 0.0)]
+    finite = np.isfinite(read).all(axis=(0, 2, 3))
+    lowest = np.full(len(stack), np.nan)
+    lowest[finite] = np.linalg.eigvalsh(stack[finite]).min(axis=1)
+    return lowest
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("atol", [ops.ATOL, lindblad.STATE_ATOL])
+@pytest.mark.parametrize("d", [2, 4])
+def test_positivity_screen_matches_eigvalsh(d, atol):
+    # 5200 states per dimension and tolerance, on both storage orders: the
+    # screen says positive exactly where eigvalsh's smallest eigenvalue is at
+    # least -atol, outside SCREEN_BAND, and refuses what it cannot read
+    rng = np.random.default_rng(2300 + d)
+    for family, stack in screen_families(rng, d, 1300, atol).items():
+        lowest = lowest_eigenvalues(stack)
+        want = lowest >= -atol
+        excused = np.abs(lowest + atol) <= SCREEN_BAND
+        assert excused.mean() < 0.25, family
+        if family in ("shifted", "lower-only"):
+            assert 0.3 < want.mean() < 0.7, family
+        for layout, states in (("contiguous", stack), ("entry-major", entry_major(stack))):
+            got = ops._ldl_positive(states, atol)
+            wrong = np.flatnonzero((got != want) & ~excused)
+            assert not wrong.size, (
+                f"{family} {layout}: {wrong.size} verdicts differ from eigvalsh, e.g. state "
+                f"{wrong[0]} with lambda_min + atol = {lowest[wrong[0]] + atol:.3e}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_density_matrix_same_verdict_on_both_storage_orders():
+    # one refused state among valid ones, of each kind, in a seeded place
+    rng = np.random.default_rng(2301)
+    valid = screen_families(rng, 4, 40, ops.ATOL)["rank-deficient"]
+    lam = rng.dirichlet(np.ones(4), 1)
+    lam[0, 0] = -ops.ATOL - 1e-9
+    negative = with_spectra(rng, lam)[0]
+    negative /= np.trace(negative).real
+    non_hermitian = valid[0].copy()
+    non_hermitian[3, 1] += 1e-9j
+    overflowing = valid[2].copy()  # its rho_03 - conj(rho_30) overflows, with no warning
+    overflowing[0, 3], overflowing[3, 0] = 1e308, -1e308
+    for bad, message in ((negative, r"has negative eigenvalue -1\.\d{3}e-09"),
+                         (non_hermitian, r"is not Hermitian \(max deviation 1\.000e-09\)"),
+                         (overflowing, r"is not Hermitian \(max deviation inf\)"),
+                         (valid[1] * (1.0 + 1e-9), r"has trace 1\.000000001")):
+        k = int(rng.integers(len(valid)))
+        stack = valid.copy()
+        stack[k] = bad
+        for layout in (np.asarray, entry_major):
+            ops.check_density_matrix(layout(valid))
+            with pytest.raises(ops.ValidationError, match=rf"^rho {k} {message}"):
+                ops.check_density_matrix(layout(stack))
+
+
 def _evolve(t_final=1.0, dt=0.01):
     lindblad.evolve(lindblad.ModelParams(), np.eye(4) / 4, t_final, dt)
 

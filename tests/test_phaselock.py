@@ -24,6 +24,17 @@ def test_time_series_validation():
         pl.TimeSeries(np.arange(20), np.zeros(19))
 
 
+@pytest.mark.parametrize("name", ["times", "values"])
+def test_time_series_refuses_arrays_that_are_not_1d(name):
+    # a (n, 1) values array of the size of times once passed, and
+    # sync_metrics then gave plv 0.0012 for two identical signals
+    t = np.arange(0.0, 20.0, 0.01)
+    arrays = {"times": t, "values": np.sin(t)}
+    arrays[name] = arrays[name].reshape(-1, 1)
+    with pytest.raises(ValidationError, match=rf"^{name} must be 1-D, got shape \(2000, 1\)$"):
+        pl.TimeSeries(**arrays)
+
+
 def test_analytic_signal_cosine_phase_slope():
     t = np.arange(0.0, 20 * np.pi, 0.01)
     phase = pl.analytic_signal(pl.TimeSeries(t, np.cos(t)))
