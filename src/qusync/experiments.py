@@ -8,8 +8,8 @@ reported at once.  ``evolve`` and ``sync-sweep`` run their xi points through
 an optional process pool, which returns results in input order; ``evolve``
 writes each xi's files as its trajectory completes and then drops it.
 ``info-sweep`` and ``discord-bench`` compute their points as stacks, with
-the same arithmetic as the one-point library functions: ``info-sweep``
-takes one stacked SVD of up to ``INFO_CHUNK`` generators, and
+the same arithmetic as the one-point library functions: ``info-sweep`` takes
+every state from one stacked SVD of up to ``INFO_CHUNK`` generators, and
 ``discord-bench`` runs one compass search over all its states.  Every
 command takes each swept value as one axis, ascending and with -0.0 as +0.0,
 and computes, names, writes and draws its points in that order.  Output
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
-from .lindblad import DegenerateSteadyStateError, NoSteadyStateError
+from .lindblad import NoSteadyStateError
 from .operators import (
     ValidationError,
     basis_ket,
@@ -184,16 +184,13 @@ def cmd_sync_sweep(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _raise_first_failure(cfg: ExperimentConfig, points) -> None:
-    """Redo the points one at a time by the one-point functions, and raise a
-    :class:`NumericalFailure` naming the first one that fails."""
+    """Redo the points one at a time by :func:`lindblad.asymptotic_state`,
+    and raise a :class:`NumericalFailure` naming the first one that fails."""
     rho0 = _initial_state(cfg)
     for xi, gamma, j_xy in points:
         params = replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy)
         try:
-            try:
-                lindblad.steady_state(params)
-            except DegenerateSteadyStateError:
-                lindblad.asymptotic_state(params, rho0)
+            lindblad.asymptotic_state(params, rho0)
         except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError) as exc:
             raise NumericalFailure(
                 f"steady state failed at xi={xi:+.3f}, gamma={gamma:.4g}, "
@@ -203,22 +200,21 @@ def _raise_first_failure(cfg: ExperimentConfig, points) -> None:
 def _info_states(cfg: ExperimentConfig, points) -> tuple[np.ndarray, np.ndarray]:
     """The state of every (xi, gamma, j_xy) point, and which are degenerate.
 
-    ``INFO_CHUNK`` points at a time form one stack: one stacked SVD, one
-    density-matrix check, and :func:`lindblad.asymptotic_state` for the
-    degenerate points alone.  When a stack fails, its points are redone one
-    at a time, so that the first failing point in grid order is named.
+    ``INFO_CHUNK`` points at a time form one stack: one stacked SVD, from
+    which :func:`lindblad._steady_states` takes the unique fixed points and
+    the asymptotic states from the configured initial state, and one
+    density-matrix check.  When a stack fails, its points are redone one at
+    a time, so that the first failing point in grid order is named.
     """
     rho0 = _initial_state(cfg)
     states, degenerate = [], []
     for start in range(0, len(points), INFO_CHUNK):
         chunk = points[start:start + INFO_CHUNK]
-        params = [replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy) for xi, gamma, j_xy in chunk]
         try:
-            rho, dims = lindblad._steady_states(
-                np.stack([lindblad.build_liouvillian(p) for p in params]))
-            check_density_matrix(rho[dims == 1], name="rho_ss")
-            for k in np.flatnonzero(dims > 1):
-                rho[k] = lindblad.asymptotic_state(params[k], rho0)
+            rho, dims = lindblad._steady_states(np.stack(
+                [lindblad.build_liouvillian(replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy))
+                 for xi, gamma, j_xy in chunk]), rho0)
+            check_density_matrix(rho, name="rho_ss")
         except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError):
             _raise_first_failure(cfg, chunk)
             raise
@@ -299,7 +295,7 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     purity = np.trace(rho @ rho, axis1=1, axis2=2).real
     mi, discord, classical, angles, _ = qinfo._discords(rho, cfg.unit)
     # degree of quantumness: I(A:B) minus the diagonal-truncation one
-    dq = mi - qinfo._informations(rho, cfg.unit)[1]
+    dq = mi - qinfo._mutual_information_nats(qinfo._dephased(rho)) * cfg.unit.per_nat
     qinfo.save_discord_csv(csv_path, [*zip(*draws), purity, mi, discord, classical, dq,
                                       *zip(*angles)])
     written = [csv_path]

@@ -7,9 +7,9 @@ weighted sum of five fixed superoperators per channel.  Propagation uses the
 matrix exponential of L (exact for a time-independent generator), computed in
 numpy by scaling and squaring.  Steady and asymptotic states come from the
 null spaces of one SVD of L, where a singular value counts as zero up to
-``NULL_ATOL * max(||L||_2, 1)``.  That rule runs on a stack of generators
-(``_steady_states``, one stacked SVD), and the one-generator functions are
-its stack-of-one case, so a stacked sweep gives the same states bit for bit.
+``NULL_ATOL * max(||L||_2, 1)``, in one rule over a stack of generators
+(``_steady_states``); every other fixed-point function is its stack of one,
+so a stacked sweep gives the same states bit for bit, degenerate ones too.
 A trajectory is stored entry-major: one (16, n) array whose row 4 j + i holds
 rho_ij at every step, so that its check and its observables read contiguous
 entries, and its (n, 4, 4) states are a view of that array.
@@ -361,24 +361,35 @@ def _fixed_points(mats: np.ndarray, vecs: np.ndarray, zero: np.ndarray,
     return rho
 
 
-def _steady_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The null-space dimension of each generator of an (n, d*d, d*d) stack,
-    and the state of each whose null space is one vector, checked as a fixed
-    point (zeros for the others).
+def _steady_states(mats: np.ndarray, rho0: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The null-space dimension and the fixed point of each generator of an
+    (n, d*d, d*d) stack, from one SVD.
 
+    A null space of one vector gives its state, ``rho_ss``; a larger one the
+    limit of exp(L t) rho0, ``rho_inf`` (zero without ``rho0``): R (J+ R)^-1
+    J+ vec(rho0), with the fixed points R and the conserved quantities J the
+    null columns of V and U (Albert & Jiang, PRA 89, 022118 (2014)), or the
+    trajectory's time average where L has imaginary eigenvalues (gamma = 0).
     The first generator with no zero singular value, or whose state is no
-    fixed point, raises :class:`NoSteadyStateError`.  Whether the states are
-    density matrices is left to one check by the caller.
+    fixed point, raises :class:`NoSteadyStateError`; whether the states are
+    density matrices is the caller's one check.
     """
-    _, vh, zero, dims = _null_spaces(mats)
+    u, vh, zero, dims = _null_spaces(mats)
     d = math.isqrt(mats.shape[-1])
-    unique = dims == 1
-    # turn the arbitrary phase of each SVD null vector to a positive trace,
-    # so that Hermitizing cannot cancel it
-    v = vh[unique, -1].conj()
-    v = v * np.exp(-1j * np.angle(v[:, ::d + 1].sum(axis=1)))[:, None]
     rho = np.zeros((len(mats), d, d), dtype=complex)
-    rho[unique] = _fixed_points(mats[unique], v, zero[unique], "rho_ss")
+    for k in np.unique(dims):
+        at = dims == k
+        if k == 1:
+            # turn the arbitrary phase of each SVD null vector to a positive
+            # trace, so that Hermitizing cannot cancel it
+            v = vh[at, -1].conj()
+            v = v * np.exp(-1j * np.angle(v[:, ::d + 1].sum(axis=1)))[:, None]
+            rho[at] = _fixed_points(mats[at], v, zero[at], "rho_ss")
+        elif rho0 is not None:
+            right, left_h = vh[at, -k:].conj().swapaxes(1, 2), u[at, :, -k:].conj().swapaxes(1, 2)
+            x = np.linalg.solve(left_h @ right, (left_h @ vectorize(rho0))[..., None])
+            rho[at] = _fixed_points(mats[at], (right @ x)[..., 0], zero[at], "rho_inf")
     return rho, dims
 
 
@@ -420,20 +431,13 @@ def long_time_state(p: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
 
 
 def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
-    """Limit of exp(L t) rho0 as t -> infinity, exact for a degenerate L.
-
-    The null spaces of :func:`_null_spaces` give the fixed points R and the
-    conserved quantities J; the limit is R (J+ R)^-1 J+ vec(rho0) (Albert &
-    Jiang, PRA 89, 022118 (2014)).  This is the limit when every other
-    eigenvalue of L has a negative real part, and the time average of the
-    trajectory when some are imaginary (as at gamma = 0).
-    """
+    """Limit of exp(L t) rho0 as t -> infinity, exact for a degenerate L: the
+    one-generator case of :func:`_steady_states`, so a unique fixed point is
+    :func:`steady_state`'s, bit for bit, named ``rho_ss``, and a degenerate
+    one the Albert-Jiang limit, named ``rho_inf``."""
     rho0 = check_density_matrix(rho0, name="rho0")
-    mat = build_liouvillian(p)[None]
-    u, vh, zero, dims = _null_spaces(mat)
-    right, left_h = vh[0, -dims[0]:].conj().T, u[0, :, -dims[0]:].conj().T
-    v = right @ np.linalg.solve(left_h @ right, left_h @ vectorize(rho0))
-    return check_density_matrix(_fixed_points(mat, v[None], zero, "rho_inf")[0], name="rho_inf")
+    rho, dims = _steady_states(build_liouvillian(p)[None], rho0)
+    return check_density_matrix(rho[0], name="rho_ss" if dims[0] == 1 else "rho_inf")
 
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:

@@ -54,11 +54,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0)), key=lambda s: abs(s * mag - raw)) * mag
     first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * span:
+    out, t, last = [], first, None
+    # a step below the float spacing of t would leave t where it is
+    while t <= hi + 1e-12 * span and t != last:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
+        last, t = t, t + step
     return out or [lo, hi]
 
 

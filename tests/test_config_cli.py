@@ -729,6 +729,40 @@ def test_info_sweep_stacks_match_the_one_point_functions(tmp_path, monkeypatch, 
     assert flags.count("degenerate") == 8 + 4  # gamma = 0, and xi = +1 with gamma > 0
 
 
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_info_sweep_takes_one_svd_per_stack(tmp_path, monkeypatch, chunk):
+    # null-space dimensions 4, 1, 4 and 2: every state, the degenerate ones
+    # included, comes from the one SVD of its stack
+    from qusync import experiments, lindblad
+
+    svd, null_spaces = np.linalg.svd, lindblad._null_spaces
+    stacks, dims = [], []
+
+    def counted_svd(a, *args, **kwargs):
+        stacks.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    def recorded_null_spaces(mats):
+        result = null_spaces(mats)
+        dims.extend(result[3].tolist())
+        return result
+
+    def no_asymptotic_state(*args):
+        raise AssertionError("asymptotic_state called")
+
+    monkeypatch.setattr(experiments, "INFO_CHUNK", chunk)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(lindblad, "_null_spaces", recorded_null_spaces)
+    monkeypatch.setattr(lindblad, "asymptotic_state", no_asymptotic_state)
+    cfg = ExperimentConfig(xi_values=(0.3, 1.0), gamma_values=(0.0, 0.05), jxy_values=(0.25,),
+                           out_dir=str(tmp_path / "out"), save_states=True).validate()
+    cmd_info_sweep(cfg)
+    assert dims == [4, 1, 4, 2]
+    assert stacks == ([3, 1] if chunk == 3 else [4])
+    _, rows = _load_csv(tmp_path / "out" / "info_sweep.csv")
+    assert [row[-1] for row in rows] == ["degenerate", "", "degenerate", "degenerate"]
+
+
 def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, capsys):
     # near xi = 1 the null vector's state has an eigenvalue of -6.6e-6, far
     # outside round-off: the engine refuses it at the tolerance of the

@@ -490,8 +490,7 @@ def test_asymptotic_state_is_the_long_time_limit():
     # a unique fixed point does not depend on the start
     p = lb.ModelParams(xi=0.3, gamma=0.05)
     for start in ("10", "00"):
-        assert np.abs(lb.asymptotic_state(p, ket_density(start))
-                      - lb.steady_state(p)).max() < 1e-12
+        assert np.array_equal(lb.asymptotic_state(p, ket_density(start)), lb.steady_state(p))
 
 
 def test_steady_state_no_fixed_point_detection():

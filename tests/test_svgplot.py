@@ -84,6 +84,13 @@ def test_sparse_line_plot_bytes_unchanged(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
+    # the 0.5 step is below the float spacing of 1e16 (2), so t += step stays at 1e16
+    assert svgplot._ticks(1e16, 1e16 + 2) == [1e16]
+    svgplot.line_plot(tmp_path / "flat.svg", [("a", [0, 1, 2], [1e16, 1e16 + 2, 1e16])])
+    assert (tmp_path / "flat.svg").read_text().endswith("</svg>\n")
+
+
 def test_escape_matches_saxutils():
     for text in ['&<>"\'', "<sz1>", "a && b <= c > d", "&amp;", "plain", ""]:
         assert svgplot._escape(text) == escape(text)
