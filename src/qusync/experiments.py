@@ -6,7 +6,8 @@ returns the list of files it produced.  Before computing anything, each
 command opens its first output file, so that one it cannot write is
 reported at once.  ``evolve`` and ``sync-sweep`` run their xi points through
 an optional process pool, which returns results in input order; ``evolve``
-writes each xi's files as its trajectory completes and then drops it.
+writes each xi's files as its trajectory completes and then drops it, and
+formats each distinct column of its two tables once.
 ``info-sweep`` and ``discord-bench`` compute their points as stacks, with
 the same arithmetic as the one-point library functions: ``info-sweep`` takes
 every state from one stacked SVD of up to ``INFO_CHUNK`` generators, and
@@ -28,6 +29,7 @@ from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
 from .lindblad import NoSteadyStateError
 from .operators import (
+    FloatCells,
     ValidationError,
     basis_ket,
     check_density_matrix,
@@ -127,13 +129,20 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
     _refuse_shared_tags(xi=(XI_TAG, xis))
     out = _out_dir(cfg)
     _check_writable(out / f"trajectory_{XI_TAG.format(xis[0])}.csv")
-    written = []
+    written, t_cells = [], None
     for xi, res in zip(xis, _map_points(_evolve_point, cfg, xis)):
+        # each distinct column is formatted once: t, the same grid of
+        # t_final / dt steps at every xi, once, and each observable once for
+        # both of the tables that hold it
+        if t_cells is None:
+            t_cells = FloatCells(res.times)
+        cells = replace(res, times=t_cells, observables={
+            name: FloatCells(values) for name, values in res.observables.items()})
         tag = XI_TAG.format(xi)
         csv_path = out / f"trajectory_{tag}.csv"
-        lindblad.save_evolution_csv(csv_path, res)
+        lindblad.save_evolution_csv(csv_path, cells)
         bloch_path = out / f"bloch_{tag}.csv"
-        lindblad.save_bloch_csv(bloch_path, res)
+        lindblad.save_bloch_csv(bloch_path, cells)
         svg_path = out / f"trajectory_{tag}.svg"
         svgplot.line_plot(
             svg_path,
@@ -143,7 +152,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
             xlabel="t", ylabel="<sz>",
         )
         written += [csv_path, bloch_path, svg_path]
-        del res  # free this trajectory before the next one is computed
+        del res, cells  # free this trajectory before the next one is computed
     return written
 
 

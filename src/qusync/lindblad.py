@@ -441,6 +441,9 @@ def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
 
 
 def save_evolution_csv(path, result: EvolutionResult) -> None:
+    """Write the trajectory's ``OBSERVABLE_NAMES`` against t.  Here and in
+    :func:`save_bloch_csv`, the times and observables may be
+    :class:`~qusync.operators.FloatCells`, formatted once for both tables."""
     obs = result.observables
     write_csv(path, ("t",) + OBSERVABLE_NAMES,
               [result.times] + [obs[n] for n in OBSERVABLE_NAMES])

@@ -23,6 +23,7 @@ __all__ = [
     "basis_ket",
     "require_finite",
     "check_density_matrix",
+    "FloatCells",
     "write_csv",
     "save_matrix_csv",
 ]
@@ -166,8 +167,9 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = ATOL,
     return rho
 
 
-# write_csv formats tables whose columns are all floats with the numpy kernel
-# below, BLOCK_ROWS rows at a time so that its buffers stay small.
+# write_csv formats tables whose columns are all floats in two passes: a cell
+# pass over each column by the numpy kernel below, and a row pass that joins
+# the cells BLOCK_ROWS rows at a time, so that its buffers stay small.
 BLOCK_ROWS = 4096
 
 # The kernel's tables.  10**k is exact in float64 for k <= 22, and Dekker's
@@ -277,15 +279,26 @@ def _float_cells(x):
     return out
 
 
-def _kernel_rows(columns) -> str:
-    """CSV rows of equal-length float columns."""
-    n = len(columns[0])
-    cells = _float_cells(np.concatenate(columns, dtype=np.float64))
+class FloatCells:
+    """A float column formatted once, as the ``%.17g`` cells of
+    :func:`write_csv`, which writes it into any number of all-float tables."""
+
+    def __init__(self, x):
+        self.block = _float_cells(np.asarray(x, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return self.block.shape[1]
+
+
+def _cell_rows(blocks) -> bytes:
+    """CSV rows of equal-length ``_float_cells`` blocks, one per column."""
+    n = blocks[0].shape[1]
     # per row and column, the cell's slots and then a comma or a newline
-    table = np.full((_CELL + 1, len(columns), n), ord(","), np.uint8)
-    table[:_CELL] = cells.reshape(_CELL, len(columns), n)
+    table = np.full((_CELL + 1, len(blocks), n), ord(","), np.uint8)
+    for j, block in enumerate(blocks):
+        table[:_CELL, j] = block
     table[_CELL, -1] = ord("\n")
-    return table.transpose(2, 1, 0).tobytes().translate(None, b"\0").decode("ascii")
+    return table.transpose(2, 1, 0).tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, columns) -> None:
@@ -295,25 +308,29 @@ def write_csv(path, header, columns) -> None:
     complex ``re+imj`` with 17 digits per part, strings as given.
     ``header`` is a sequence of column names, or ``None`` for no header line.
 
-    A table whose columns are all floats is formatted by an exact numpy
-    kernel, ``BLOCK_ROWS`` rows at a time, with the same bytes as the
-    per-row ``%`` template that formats every other table.
+    A table whose columns are all floats or :class:`FloatCells` takes two
+    passes, with the same bytes as the per-row ``%`` template that formats
+    every other table: an exact numpy kernel formats each float column's
+    cells (a ``FloatCells`` column was formatted before), and the row pass
+    joins them ``BLOCK_ROWS`` rows at a time.
     """
     # Cell format by dtype kind; 17 significant digits round-trip float64.
     cell_format = {"f": "%.17g", "i": "%d", "u": "%d", "c": "%.17g%+.17gj",
                    "U": "%s", "O": "%s"}
-    columns = [np.asarray(col) for col in columns]
-    formats = [cell_format[col.dtype.kind] for col in columns]
+    columns = [col if isinstance(col, FloatCells) else np.asarray(col) for col in columns]
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
-        if all(col.dtype.kind == "f" for col in columns):
+            fh.write((",".join(header) + "\n").encode())
+        if all(isinstance(col, FloatCells) or col.dtype.kind == "f" for col in columns):
+            blocks = [col.block if isinstance(col, FloatCells) else _float_cells(col)
+                      for col in columns]
             for start in range(0, n_rows, BLOCK_ROWS):
-                fh.write(_kernel_rows([col[start:start + BLOCK_ROWS] for col in columns]))
+                fh.write(_cell_rows([block[:, start:start + BLOCK_ROWS] for block in blocks]))
             return
+        formats = [cell_format[col.dtype.kind] for col in columns]
         values = []
         for col in columns:
             if col.dtype.kind == "c":
@@ -321,7 +338,7 @@ def write_csv(path, header, columns) -> None:
             else:
                 values.append(col.tolist())
         template = ",".join(formats) + "\n"
-        fh.write("".join(template % row for row in zip(*values)))
+        fh.write("".join(template % row for row in zip(*values)).encode())
 
 
 def save_matrix_csv(path, m: np.ndarray) -> None:

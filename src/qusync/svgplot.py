@@ -8,6 +8,7 @@ under version control.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 
 import numpy as np
@@ -93,68 +94,102 @@ class _Canvas:
             fh.write("\n".join(self.parts) + "\n")
 
 
+def _extent(lo: float, hi: float, pad: float = 0.0) -> tuple[float, float, float]:
+    """(lo, hi, unit): an axis over data in [lo, hi], widened by ``pad`` of
+    its span at each end, in units of the data times ``unit``.  ``unit`` is
+    the first power of two of 1, 2**1000 and 1/4 that gives the axis a
+    finite span of at least the smallest normal float, so that a subnormal
+    or an overflowing span of finite data is drawn too; 1/4 gives one to
+    any finite data."""
+    for unit in (1.0, 2.0**1000, 0.25):
+        a, b = lo * unit, hi * unit
+        if b <= a:
+            b = a + 1.0
+        if b <= a:  # from 2**53 up, adding 1 moves nothing
+            a, b = (a - math.ulp(a), a) if a > 0 else (a, a + math.ulp(a))
+        a, b = a - pad * (b - a), b + pad * (b - a)
+        if sys.float_info.min <= b - a < math.inf:
+            break
+    return a, b, unit
+
+
 def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi, xscale: str):
     """Draw the frame and the ticks of data in [x_lo, x_hi] x [y_lo, y_hi].
     Return ``to_px(x, y)``, the one map from data to pixels, of arrays or
     scalars, and ``column(x)``, the pixel columns that decimation groups by."""
-    x_min = x_lo  # in data units: on a log axis x_lo becomes its log10
     axis_x = np.asarray
     if xscale == "log":
         # math.log10 per value: np.log10 differs from it in the last bit on
         # some values, which could move a pixel
         axis_x = np.vectorize(math.log10, otypes=[float])
         x_lo, x_hi = math.log10(x_lo), math.log10(x_hi)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi, x_unit = _extent(x_lo, x_hi)
+    y_lo, y_hi, y_unit = _extent(y_lo, y_hi, 0.04)
+
+    # the pixel of an x or y value in axis units
+    def px(u):
+        return MARGIN_L + (u - x_lo) / (x_hi - x_lo) * PLOT_W
+
+    def py(u):
+        return HEIGHT - MARGIN_B - (u - y_lo) / (y_hi - y_lo) * PLOT_H
 
     def to_px(x, y):
-        return (MARGIN_L + (axis_x(x) - x_lo) / (x_hi - x_lo) * PLOT_W,
-                HEIGHT - MARGIN_B - (np.asarray(y) - y_lo) / (y_hi - y_lo) * PLOT_H)
+        return px(axis_x(x) * x_unit), py(np.asarray(y) * y_unit)
 
     def column(x):
-        return np.floor((axis_x(x) - x_lo) * (PLOT_W / (x_hi - x_lo))).astype(np.int64)
+        return np.floor((axis_x(x) * x_unit - x_lo) * (PLOT_W / (x_hi - x_lo))).astype(np.int64)
 
     canvas.add(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
                f'height="{PLOT_H}" fill="none" stroke="black"/>')
     if xscale == "log":
         decades = range(math.ceil(x_lo - 1e-9), math.floor(x_hi + 1e-9) + 1)
-        xticks, xlabels = [10.0 ** d for d in decades], [f"1e{d}" for d in decades]
+        xticks, xlabels = axis_x([10.0 ** d for d in decades]), [f"1e{d}" for d in decades]
     else:
-        xticks = _ticks(x_lo, x_hi)
-        xlabels = [_fmt(v) for v in xticks]
+        xticks, xlabels = _labelled(_ticks(x_lo, x_hi), x_unit)
     y0 = HEIGHT - MARGIN_B
-    px = to_px(xticks, y_lo)[0]
+    px_ticks = px(np.asarray(xticks))
     canvas.add(_each(f'<line x1="%.2f" y1="{y0}" x2="%.2f" y2="{y0 + 5}" stroke="black"/>\n'
                      f'<text x="%.2f" y="{y0 + 18}" font-family="sans-serif" font-size="11" '
-                     f'text-anchor="middle">%s</text>', "\n", px, px, px, xlabels))
-    yticks = _ticks(y_lo, y_hi)
-    py = to_px(x_min, yticks)[1]
+                     f'text-anchor="middle">%s</text>', "\n", px_ticks, px_ticks, px_ticks,
+                     xlabels))
+    yticks, ylabels = _labelled(_ticks(y_lo, y_hi), y_unit)
+    py_ticks = py(np.asarray(yticks))
     canvas.add(_each(f'<line x1="{MARGIN_L - 5}" y1="%.2f" x2="{MARGIN_L}" y2="%.2f" stroke="black"/>\n'
                      f'<text x="{MARGIN_L - 8}" y="%.2f" font-family="sans-serif" '
                      f'font-size="11" text-anchor="end">%s</text>', "\n",
-                     py, py, py + 4, [_fmt(v) for v in yticks]))
+                     py_ticks, py_ticks, py_ticks + 4, ylabels))
     return to_px, column
+
+
+def _labelled(ticks, unit) -> tuple[list[float], list[str]]:
+    """The ticks, in axis units, whose data value is finite, and their
+    labels; on an axis in quarters, a tick in the padding can lie beyond the
+    largest float."""
+    ticks = [t for t in ticks if math.isfinite(t / unit)]
+    return ticks, [_fmt(t / unit) for t in ticks]
 
 
 def _m4(column, y) -> np.ndarray:
     """Indices of the first, last, lowest and highest point of every pixel
     column, in index order (M4 aggregation, Jugel et al., PVLDB 7(10), 2014).
 
-    ``column`` must be non-decreasing, so each column is one run of indices,
-    and sorting by (column, y) keeps every run in place.  At this resolution
-    a polyline through these points draws the same picture as the full one.
+    ``column`` must be non-decreasing, so each column is one run of indices.
+    Of equal lowest values the first is kept, and of equal highest values
+    the last, as a stable sort by (column, y) would pick them.  At this
+    resolution a polyline through these points draws the same picture as
+    the full one.
     """
-    ends = np.flatnonzero(np.diff(column))
-    firsts = np.concatenate([[0], ends + 1])
-    lasts = np.concatenate([ends, [len(column) - 1]])
-    by_height = np.lexsort((y, column))
+    n = len(column)
+    firsts = np.concatenate([[0], np.flatnonzero(np.diff(column)) + 1])
+    runs = np.diff(np.append(firsts, n))
+    index = np.arange(n)
+    lowest = y == np.repeat(np.minimum.reduceat(y, firsts), runs)
+    highest = y == np.repeat(np.maximum.reduceat(y, firsts), runs)
     # a mask, not np.unique: that would import numpy.ma on first use
-    keep = np.zeros(len(column), dtype=bool)
-    keep[np.concatenate([firsts, lasts, by_height[firsts], by_height[lasts]])] = True
+    keep = np.zeros(n, dtype=bool)
+    keep[np.concatenate([firsts, firsts + runs - 1,
+                         np.minimum.reduceat(np.where(lowest, index, n), firsts),
+                         np.maximum.reduceat(np.where(highest, index, -1), firsts)])] = True
     return np.flatnonzero(keep)
 
 
@@ -213,7 +248,7 @@ def line_plot(
     for idx, (label, x, y, style) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
         if style in ("line", "dash"):
-            if x.size > 1 and (np.diff(x) >= 0).all():
+            if x.size > 1 and (x[1:] >= x[:-1]).all():
                 keep = _m4(column(x), y)
                 x, y = x[keep], y[keep]
             dash = ' stroke-dasharray="6,4"' if style == "dash" else ""

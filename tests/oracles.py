@@ -14,7 +14,8 @@ Everything here deliberately avoids the library's own code paths, and no
 * the exact rank-2 discord of Koashi & Winter with Wootters' concurrence;
 * the relative entropy from the eigenbases of both states;
 * partial traces as explicit index sums, the 3-outcome POVM oracle with
-  Bloch vectors from explicit traces, and batch-means standard errors.
+  Bloch vectors from explicit traces, and batch-means standard errors;
+* the M4 decimation of a polyline by one stable sort over (column, y).
 
 Model parameters ``p`` are read by attribute (``delta``, ``tau``, ``j_xy``,
 ``gamma``, ``xi`` and ``channel``, whose ``value`` names the local operator).
@@ -383,6 +384,20 @@ def load_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path} contains no matrix rows")
     return np.array(rows, dtype=complex)
+
+
+def lexsort_m4(column, y) -> np.ndarray:
+    """Indices of the first, last, lowest and highest point of every run of
+    equal ``column`` values (non-decreasing), in index order: the stable
+    sort by (column, y) keeps each run in place, and its first and last
+    entries in a run are the run's first lowest and last highest point."""
+    ends = np.flatnonzero(np.diff(column))
+    firsts = np.concatenate([[0], ends + 1])
+    lasts = np.concatenate([ends, [len(column) - 1]])
+    by_height = np.lexsort((y, column))
+    keep = np.zeros(len(column), dtype=bool)
+    keep[np.concatenate([firsts, lasts, by_height[firsts], by_height[lasts]])] = True
+    return np.flatnonzero(keep)
 
 
 def batch_sem(samples: np.ndarray, n_batches: int = 100) -> tuple[float, float]:

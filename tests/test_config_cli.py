@@ -784,19 +784,19 @@ def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
     from qusync import experiments, lindblad, operators
 
     writing, reached = [], set()
-    write_csv, kernel_rows = operators.write_csv, operators._kernel_rows
+    write_csv, cell_rows = operators.write_csv, operators._cell_rows
 
     def traced_write_csv(path, header, columns):
         writing.append(Path(path).name)
         write_csv(path, header, columns)
 
-    def traced_kernel_rows(columns):
+    def traced_cell_rows(blocks):
         reached.add(writing[-1])
-        return kernel_rows(columns)
+        return cell_rows(blocks)
 
     for module in (operators, lindblad, experiments):
         monkeypatch.setattr(module, "write_csv", traced_write_csv)
-    monkeypatch.setattr(operators, "_kernel_rows", traced_kernel_rows)
+    monkeypatch.setattr(operators, "_cell_rows", traced_cell_rows)
     cmd_evolve(ExperimentConfig(xi_values=(-0.5, 0.5), t_final=2.0,
                                 out_dir=str(tmp_path / "ev")).validate())
     cmd_info_sweep(ExperimentConfig(xi_values=(0.0, 1.0), gamma_values=(0.3,),
@@ -808,3 +808,24 @@ def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
     assert tables <= reached
     assert "info_sweep.csv" in writing and len(states) == 2
     assert reached.isdisjoint(states | {"info_sweep.csv"})
+
+
+@pytest.mark.parametrize("n_xi", [1, 3])
+def test_evolve_formats_each_distinct_column_once(tmp_path, monkeypatch, n_xi):
+    # bx1, bz1, bx2 and bz2 are sx1, sz1, sx2 and sz2, and t is the same at
+    # every xi: t once, and sz1, sz2, sx1, sx2, sy1, sy2 and purity once per
+    # xi make 1 + 7 n column passes, where one pass per table column is 13 n
+    from qusync import operators
+
+    passes, float_cells = [], operators._float_cells
+
+    def counted(x):
+        passes.append(x.size)
+        return float_cells(x)
+
+    monkeypatch.setattr(operators, "_float_cells", counted)
+    xis = (-0.5, 0.1, 0.5)[:n_xi]
+    written = cmd_evolve(ExperimentConfig(xi_values=xis, t_final=2.0, dt=0.01,
+                                          out_dir=str(tmp_path / "ev")).validate())
+    assert len(written) == 3 * n_xi
+    assert passes == [201] * (1 + 7 * n_xi)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,21 +402,22 @@ def test_float_kernel_edge_values():
 
 # --- write_csv against Python's % ------------------------------------------
 
-def percent_rows(columns):
-    """The kernel's rows, with each cell made by Python's %.17g instead."""
-    return "".join(",".join("%.17g" % v for v in row) + "\n"
-                   for row in zip(*(col.tolist() for col in columns)))
+def percent_cells(x):
+    """The cell pass's block for float64 array x, with each cell made by
+    Python's %.17g instead of the kernel."""
+    cells = np.array(["%.17g" % v for v in x.tolist()], dtype=f"S{ops._CELL}")
+    return cells.view(np.uint8).reshape(-1, ops._CELL).T
 
 
 def both_paths(monkeypatch, tmp_path, write):
     """The bytes of ``write(path)`` through the kernel, and with the kernel's
-    rows made by Python's % instead."""
+    cells made by Python's % instead."""
     calls = []
     path = tmp_path / "t.csv"
     write(path)
     kernel = path.read_bytes()
     with monkeypatch.context() as m:
-        m.setattr(ops, "_kernel_rows", lambda columns: calls.append(1) or percent_rows(columns))
+        m.setattr(ops, "_float_cells", lambda x: calls.append(1) or percent_cells(x))
         write(path)
     assert calls, "the table did not reach the kernel"
     return path.read_bytes(), kernel
@@ -432,8 +434,16 @@ def template_text(header, columns):
 def test_evolution_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
     p = lindblad.ModelParams(xi=0.3)
     res = lindblad.evolve(p, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex), 3.0, 0.01)
+
+    def formatted():
+        # the columns as evolve formats them, once for both tables
+        return replace(res, times=ops.FloatCells(res.times), observables={
+            name: ops.FloatCells(values) for name, values in res.observables.items()})
+
     for save in (lindblad.save_evolution_csv, lindblad.save_bloch_csv):
         percent, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, res))
+        assert kernel == percent
+        percent, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, formatted()))
         assert kernel == percent
 
 

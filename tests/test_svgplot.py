@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qusync import svgplot
+from tests.oracles import lexsort_m4
 
 PLOT_WIDTH = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
 
@@ -42,6 +43,39 @@ def test_decimation_keeps_column_extremes_and_endpoints(tmp_path, monkeypatch):
     it = iter(full)
     assert all(point in it for point in kept)
     assert kept[0] == full[0] and kept[-1] == full[-1]
+
+
+def m4_cases():
+    """(column, y) pairs: the edge cases by name, seeded tie-heavy runs, and
+    the pixel columns of a 20001-point trajectory."""
+    rng = np.random.default_rng(26)
+    cases = {
+        "one point": ([3], [0.5]),
+        "two points, one column": ([0, 0], [1.0, 1.0]),
+        "two points, two columns": ([0, 1], [2.0, -1.0]),
+        "signed zeros, one column": ([0] * 6, [0.0, -0.0, 0.0, 1.0, -0.0, 1.0]),
+        "one-point runs": (np.arange(-3, 9), rng.standard_normal(12)),
+    }
+    for k in range(1000):
+        n = int(rng.integers(1, 80))
+        width = int(rng.integers(1, n + 1))
+        column = np.sort(rng.integers(-2, width, n))
+        cases[f"seeded {k}"] = (column, rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], n))
+    t = np.linspace(0.0, 200.0, 20001)
+    column = np.floor(t * (PLOT_WIDTH / 200.0)).astype(np.int64)
+    y = np.exp(-0.01 * t) * np.cos(t)
+    cases["trajectory"] = (column, y)
+    cases["trajectory, 3 decimals"] = (column, np.round(y, 3))
+    return cases
+
+
+def test_m4_picks_the_stable_sort_indices():
+    # first of equal lowest values and last of equal highest: the indices
+    # that one stable sort by (column, y) picks, index for index
+    for name, (column, y) in m4_cases().items():
+        column, y = np.asarray(column, dtype=np.int64), np.asarray(y, dtype=float)
+        got, want = svgplot._m4(column, y), lexsort_m4(column, y)
+        assert got.tolist() == want.tolist(), name
 
 
 def test_decimation_keeps_every_point_without_monotone_x(tmp_path):
@@ -89,6 +123,27 @@ def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
     assert svgplot._ticks(1e16, 1e16 + 2) == [1e16]
     svgplot.line_plot(tmp_path / "flat.svg", [("a", [0, 1, 2], [1e16, 1e16 + 2, 1e16])])
     assert (tmp_path / "flat.svg").read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("data", [[0.0, 5e-324], [-1e308, 1e308],
+                                  [9.083654234753976e307, 1.7696103546060634e308],
+                                  [1e17, 1e17]],
+                         ids=["subnormal-span", "overflowing-span",
+                              "ticks-beyond-the-largest-float", "constant-above-2**53"])
+def test_finite_data_of_any_span_is_drawn(tmp_path, data):
+    # a span below the normal floats, one beyond the largest float (whose
+    # padding can hold a tick beyond it), and constant data where adding 1
+    # moves nothing: each axis is drawn with finite pixels and labels, on x
+    # and on y, without a numpy warning
+    for x, y in (([0.0, 1.0], data), (data, [0.0, 1.0])):
+        path = tmp_path / "span.svg"
+        with np.errstate(all="raise"):
+            svgplot.line_plot(path, [("a", x, y)], bands=[(x, y, y)])
+        text = path.read_text()
+        assert text.endswith("</svg>\n")
+        assert not re.search(r"nan|inf", text), text
+        (points,) = polyline_points(path)
+        assert len(points) == 2
 
 
 def test_escape_matches_saxutils():
