@@ -167,10 +167,11 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = ATOL,
     return rho
 
 
-# write_csv formats tables whose columns are all floats in two passes: a cell
-# pass over each column by the numpy kernel below, and a row pass that joins
-# the cells BLOCK_ROWS rows at a time, so that its buffers stay small.
+# write_csv formats a table in two passes: a cell pass turns each column into
+# a block of cells padded with zero bytes, and a row pass joins the blocks
+# BLOCK_ROWS rows at a time, so that its buffers stay small.
 BLOCK_ROWS = 4096
+_UNPAD = bytes(range(255)) + b"\0"  # the row pass's translate: 0xff back to NUL
 
 # The kernel's tables.  10**k is exact in float64 for k <= 22, and Dekker's
 # split of each power into two 26-bit halves is taken once.
@@ -281,7 +282,7 @@ def _float_cells(x):
 
 class FloatCells:
     """A float column formatted once, as the ``%.17g`` cells of
-    :func:`write_csv`, which writes it into any number of all-float tables."""
+    :func:`write_csv`, which writes it into any number of tables."""
 
     def __init__(self, x):
         self.block = _float_cells(np.asarray(x, dtype=np.float64))
@@ -290,55 +291,54 @@ class FloatCells:
         return self.block.shape[1]
 
 
+def _text_cells(columns, n):
+    """Non-float columns as (width, n) blocks of UTF-8 cells from one format
+    call: ``%.17g%+.17gj`` or ``str``; a NUL is stored as 0xff, which UTF-8 never writes."""
+    formats, values = [], []
+    parts = np.array([c for c in columns if c.dtype.kind == "c"], complex).view(float).tolist()
+    for col in columns:
+        if col.dtype.kind == "c":
+            formats.append(b"%.17g%+.17gj\0" * n)
+            values += parts.pop(0)
+        else:
+            formats.append(b"%s\0" * n)
+            values += [str(v).encode().replace(b"\0", b"\xff") for v in col.tolist()]
+    text = np.array((b"".join(formats) % tuple(values)).split(b"\0")[:-1], dtype=bytes)
+    return text.view(np.uint8).reshape(len(columns), n, text.itemsize).transpose(0, 2, 1)
+
+
 def _cell_rows(blocks) -> bytes:
-    """CSV rows of equal-length ``_float_cells`` blocks, one per column."""
-    n = blocks[0].shape[1]
-    # per row and column, the cell's slots and then a comma or a newline
-    table = np.full((_CELL + 1, len(blocks), n), ord(","), np.uint8)
-    for j, block in enumerate(blocks):
-        table[:_CELL, j] = block
-    table[_CELL, -1] = ord("\n")
-    return table.transpose(2, 1, 0).tobytes().translate(None, b"\0")
+    """CSV rows of equal-length cell blocks, one per column."""
+    table = np.full((blocks[0].shape[1], sum(map(len, blocks)) + len(blocks)), ord(","), np.uint8)
+    cells, start = table.T, 0
+    for block in blocks:
+        cells[start:start + len(block)] = block
+        start += len(block) + 1
+    cells[-1] = ord("\n")
+    return table.tobytes().translate(_UNPAD, b"\0")
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns as CSV rows, one cell format per column.
-
-    Each column's dtype picks its format: floats ``%.17g``, integers ``%d``,
-    complex ``re+imj`` with 17 digits per part, strings as given.
-    ``header`` is a sequence of column names, or ``None`` for no header line.
-
-    A table whose columns are all floats or :class:`FloatCells` takes two
-    passes, with the same bytes as the per-row ``%`` template that formats
-    every other table: an exact numpy kernel formats each float column's
-    cells (a ``FloatCells`` column was formatted before), and the row pass
-    joins them ``BLOCK_ROWS`` rows at a time.
-    """
-    # Cell format by dtype kind; 17 significant digits round-trip float64.
-    cell_format = {"f": "%.17g", "i": "%d", "u": "%d", "c": "%.17g%+.17gj",
-                   "U": "%s", "O": "%s"}
+    """Write equal-length columns as CSV rows after ``header`` (column names, or
+    ``None``).  The cell pass formats all float columns in one exact ``%.17g`` kernel call
+    (a :class:`FloatCells` is formatted already), the others by :func:`_text_cells`."""
     columns = [col if isinstance(col, FloatCells) else np.asarray(col) for col in columns]
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
+    arrays = [col for col in columns if isinstance(col, np.ndarray)]
+    floats = [col for col in arrays if col.dtype.kind == "f"]
+    floats = iter(np.split(_float_cells(np.concatenate(floats, dtype=np.float64)),
+                           len(floats), axis=1) if floats else ())
+    texts = iter(_text_cells([col for col in arrays if col.dtype.kind != "f"], n_rows))
+    blocks = [col.block if isinstance(col, FloatCells)
+              else next(floats if col.dtype.kind == "f" else texts) for col in columns]
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((",".join(header) + "\n").encode())
-        if all(isinstance(col, FloatCells) or col.dtype.kind == "f" for col in columns):
-            blocks = [col.block if isinstance(col, FloatCells) else _float_cells(col)
-                      for col in columns]
-            for start in range(0, n_rows, BLOCK_ROWS):
-                fh.write(_cell_rows([block[:, start:start + BLOCK_ROWS] for block in blocks]))
-            return
-        formats = [cell_format[col.dtype.kind] for col in columns]
-        values = []
-        for col in columns:
-            if col.dtype.kind == "c":
-                values += [col.real.tolist(), col.imag.tolist()]
-            else:
-                values.append(col.tolist())
-        template = ",".join(formats) + "\n"
-        fh.write("".join(template % row for row in zip(*values)).encode())
+        for start in range(0, n_rows, BLOCK_ROWS):
+            fh.write(_cell_rows(blocks if n_rows <= BLOCK_ROWS else
+                                [block[:, start:start + BLOCK_ROWS] for block in blocks]))
 
 
 def save_matrix_csv(path, m: np.ndarray) -> None:

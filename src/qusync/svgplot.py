@@ -218,9 +218,13 @@ def line_plot(
     dash curve whose x never decreases keeps only the first, last, lowest
     and highest point of each pixel column; with at most one point per
     column that is every point.  Non-finite data, and a curve or band whose
-    arrays differ in shape, raise :class:`~qusync.operators.ValidationError`
-    naming the curve or band.
+    arrays differ in shape, an x <= 0 on a log axis, an ``xscale`` other
+    than "linear" or "log" and an unknown style raise
+    :class:`~qusync.operators.ValidationError` naming the curve, band or
+    option.
     """
+    if xscale not in ("linear", "log"):
+        raise ValidationError(f"xscale must be 'linear' or 'log', got {xscale!r}")
     curves = [(c[0], np.asarray(c[1], dtype=float), np.asarray(c[2], dtype=float),
                c[3] if len(c) > 3 else "line") for c in curves]
     bands = [[np.asarray(v, dtype=float) for v in b] for b in bands or []]
@@ -231,6 +235,11 @@ def line_plot(
             raise ValidationError(f"{name} has arrays of different shapes: "
                                   f"{', '.join(str(v.shape) for v in arrays)}")
         require_finite(**{name: np.concatenate(arrays)})
+        if xscale == "log" and (arrays[0] <= 0).any():
+            raise ValidationError(f"{name} has x <= 0 on a log axis")
+    for label, _, _, style in curves:
+        if style not in ("line", "dash", "markers"):
+            raise ValidationError(f"curve {label!r} has unknown style {style!r}")
     xs = [c[1] for c in curves] + [b[0] for b in bands]
     ys = [c[2] for c in curves] + [v for b in bands for v in b[1:]]
     if not sum(x.size for x in xs):
@@ -284,11 +293,12 @@ def heatmap(path, x_vals, y_vals, z, *, title="", xlabel="", ylabel="") -> None:
         raise ValidationError(f"z must have shape {(n_x, n_y)}, got {z.shape}")
     require_finite(z=z)
     z_lo, z_hi = float(z.min()), float(z.max())
-    span = (z_hi - z_lo) or 1.0
+    # laid out as a line axis is, so that z of any finite span has a colour scale
+    lo, hi, unit = _extent(z_lo, z_hi)
     canvas = _Canvas(title, xlabel, ylabel)
     cell_w, cell_h = (PLOT_W - 70) / n_x, PLOT_H / n_y  # 70 px for the colorbar
     ix, iy = np.divmod(np.arange(n_x * n_y), n_y)  # cell (i, j), i-major
-    fills = [_color(frac) for frac in ((z.ravel() - z_lo) / span).tolist()]
+    fills = [_color(frac) for frac in ((z.ravel() * unit - lo) / (hi - lo)).tolist()]
     canvas.add(_each(f'<rect x="%.2f" y="%.2f" width="{cell_w + 0.5:.2f}" '
                      f'height="{cell_h + 0.5:.2f}" fill="%s"/>', "\n",
                      MARGIN_L + ix * cell_w, HEIGHT - MARGIN_B - (iy + 1) * cell_h, fills))

@@ -778,25 +778,35 @@ def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, caps
     assert "negative eigenvalue" in err
 
 
-def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
-    # The kernel saves evolve most of its formatting time; a non-float column
-    # in its tables would send them to the slower row template.
+def test_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
+    # The kernel saves evolve most of its formatting time: every cell block
+    # of an evolve table comes from _float_cells.  Every table takes the one
+    # row pass, and the float columns of info-sweep's table reach the kernel
+    # too.
     from qusync import experiments, lindblad, operators
 
-    writing, reached = [], set()
+    writing, kernel_blocks, from_kernel = [], [], {}
     write_csv, cell_rows = operators.write_csv, operators._cell_rows
+    float_cells = operators._float_cells
 
     def traced_write_csv(path, header, columns):
         writing.append(Path(path).name)
         write_csv(path, header, columns)
 
+    def traced_float_cells(x):
+        kernel_blocks.append(float_cells(x))
+        return kernel_blocks[-1]
+
     def traced_cell_rows(blocks):
-        reached.add(writing[-1])
+        from_kernel.setdefault(writing[-1], []).extend(
+            any(np.may_share_memory(block, cells) for cells in kernel_blocks)
+            for block in blocks)
         return cell_rows(blocks)
 
     for module in (operators, lindblad, experiments):
         monkeypatch.setattr(module, "write_csv", traced_write_csv)
     monkeypatch.setattr(operators, "_cell_rows", traced_cell_rows)
+    monkeypatch.setattr(operators, "_float_cells", traced_float_cells)
     cmd_evolve(ExperimentConfig(xi_values=(-0.5, 0.5), t_final=2.0,
                                 out_dir=str(tmp_path / "ev")).validate())
     cmd_info_sweep(ExperimentConfig(xi_values=(0.0, 1.0), gamma_values=(0.3,),
@@ -805,9 +815,21 @@ def test_only_the_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
     tables = {f"{kind}_xi{xi}.csv" for kind in ("trajectory", "bloch")
               for xi in ("-0.500", "+0.500")}
     states = {name for name in writing if name.startswith("rho_ss_")}
-    assert tables <= reached
-    assert "info_sweep.csv" in writing and len(states) == 2
-    assert reached.isdisjoint(states | {"info_sweep.csv"})
+    assert set(from_kernel) == set(writing) == tables | states | {"info_sweep.csv"}
+    # t and 5 observables, t and 6 Bloch components
+    assert all(from_kernel[name] == [True] * (6 if name.startswith("trajectory") else 7)
+               for name in tables)
+    assert from_kernel["info_sweep.csv"] == [True] * 6 + [False]
+    assert len(states) == 2
+
+
+def test_discord_bench_seeds_beyond_int64_are_exact(tmp_path):
+    # at seed 10**14 the state seeds seed * 10**6 + rank * 10**5 + index pass
+    # 2**63, so the column holds Python integers, each written exactly
+    cmd_discord_bench(ExperimentConfig(n_states=1, ranks=(2,), seed=10**14,
+                                       out_dir=str(tmp_path)).validate())
+    row = (tmp_path / "discord_bench.csv").read_text().splitlines()[1]
+    assert row.startswith("100000000000000200000,2,")
 
 
 @pytest.mark.parametrize("n_xi", [1, 3])

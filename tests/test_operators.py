@@ -456,22 +456,26 @@ def test_sweep_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
     percent, kernel = both_paths(monkeypatch, tmp_path,
                                  lambda path: phaselock.save_metrics_csv(path, sync_columns))
     assert kernel == percent
-    # tables with a string or integer column go through the row template
-    path = tmp_path / "t.csv"
+    # the float columns of a table with a string or integer column reach the
+    # kernel too, and its text cells sit between them
     header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
               "degree_of_quantumness", "flag")
     info = [xi, gamma, jxy, rng.uniform(0, 1, n), rng.uniform(0, 1e-3, n), rng.uniform(0, 1, n)]
     for flags in ([""] * n, rng.choice(["", "degenerate"], n).tolist()):
-        ops.write_csv(path, header, info + [flags])
-        assert path.read_text() == template_text(header, [c.tolist() for c in info] + [flags])
+        percent, kernel = both_paths(monkeypatch, tmp_path,
+                                     lambda path: ops.write_csv(path, header, info + [flags]))
+        assert kernel == percent
+        assert kernel.decode() == template_text(header, [c.tolist() for c in info] + [flags])
     seeds = [2**63 - 1, 0, 1, 2**62 + 12345] + rng.integers(0, 2**63 - 1, n - 4).tolist()
     ranks = rng.integers(2, 5, n).tolist()
     # the same draws as 7 values per row: the (n, 7) array is filled row by row
     discord_columns = [seeds, ranks, *rng.uniform(0, 1, (n, 7)).T.tolist()]
-    qinfo.save_discord_csv(path, discord_columns)
-    header = path.read_text().split("\n")[0].split(",")
-    assert path.read_text() == template_text(header, discord_columns)
-    assert path.read_text().splitlines()[1].startswith("9223372036854775807,")
+    percent, kernel = both_paths(monkeypatch, tmp_path,
+                                 lambda path: qinfo.save_discord_csv(path, discord_columns))
+    assert kernel == percent
+    text = kernel.decode()
+    assert text == template_text(text.split("\n")[0].split(","), discord_columns)
+    assert text.splitlines()[1].startswith("9223372036854775807,")
 
 
 def test_complex_matrix_same_bytes_on_both_paths(tmp_path):
@@ -506,13 +510,28 @@ def test_write_csv_row_counts_at_the_path_and_block_edges(tmp_path, rows, offset
 
 
 def test_write_csv_keeps_nul_inside_string_cells(tmp_path):
+    # a NUL inside a cell, and text beyond ASCII, is written as UTF-8: only
+    # the padding of the cell blocks is dropped (numpy's str dtype itself
+    # drops a cell's trailing NULs)
+    kinds = ["a\0b", "\0b", "\0\0c", "é", "ünïcode → ✓", "\0日本\0x", "", "😀\0!", "c"]
     n = 300
-    labels = ["a\0b" if i % 7 == 0 else "c" for i in range(n)]
+    labels = [kinds[i % len(kinds)] for i in range(n)]
+    header, columns = ("x", "label", "k"), [np.linspace(0, 1, n), labels, np.arange(n)]
     path = tmp_path / "s.csv"
-    ops.write_csv(path, ("x", "label"), [np.linspace(0, 1, n), labels])
-    text = path.read_text()
-    assert text == template_text(("x", "label"), [np.linspace(0, 1, n).tolist(), labels])
-    assert text.count("a\0b") == len(range(0, n, 7))
+    ops.write_csv(path, header, columns)
+    text = template_text(header, [columns[0].tolist(), labels, list(range(n))])
+    assert path.read_bytes() == text.encode()
+    assert text.count("a\0b") == len(range(0, n, len(kinds)))
+
+
+def test_write_csv_zero_rows_writes_the_header_alone(tmp_path):
+    columns = [np.zeros(0), np.zeros(0, int), np.zeros(0, complex), np.zeros(0, str),
+               ops.FloatCells([])]
+    path = tmp_path / "empty.csv"
+    ops.write_csv(path, ("a", "b", "c", "d", "e"), columns)
+    assert path.read_bytes() == b"a,b,c,d,e\n"
+    ops.write_csv(path, None, columns)
+    assert path.read_bytes() == b""
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):

@@ -188,6 +188,45 @@ def test_heatmap_refuses_z_that_does_not_fit_the_axes(tmp_path, z, message):
     assert not (tmp_path / "h.svg").exists()
 
 
+@pytest.mark.parametrize("z", [[[-1e308, 1e308]], [[0.0, 5e-324]]],
+                         ids=["overflowing-span", "subnormal-span"])
+def test_heatmap_colours_finite_z_of_any_span(tmp_path, z):
+    # the colour scale is laid out by _extent, as the line axes are: the two
+    # cells take the two ends of the colour map, without a numpy warning
+    path = tmp_path / "h.svg"
+    with np.errstate(all="raise"):
+        svgplot.heatmap(path, [0.0], [0.0, 1.0], z)
+    text = path.read_text()
+    assert not re.search(r"nan|inf", text), text
+    cells = re.findall(r'<rect x="72.00" [^>]*fill="(#[0-9a-f]{6})"', text)
+    assert cells == [svgplot._color(0.0), svgplot._color(1.0)]
+
+
+def test_log_axis_refuses_x_not_above_zero(tmp_path):
+    x, y = [0.0, 1.0, 10.0], [1.0, 2.0, 3.0]
+    with pytest.raises(svgplot.ValidationError, match="curve 'b' has x <= 0 on a log axis"):
+        svgplot.line_plot(tmp_path / "x.svg", [("a", x[1:], y[1:]), ("b", x, y)],
+                          xscale="log")
+    with pytest.raises(svgplot.ValidationError, match="band 0 has x <= 0 on a log axis"):
+        svgplot.line_plot(tmp_path / "x.svg", [("a", x[1:], y[1:])],
+                          bands=[([-1.0, 1.0], [0.0, 0.0], [1.0, 1.0])], xscale="log")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_unknown_xscale_is_refused(tmp_path):
+    with pytest.raises(svgplot.ValidationError,
+                       match="xscale must be 'linear' or 'log', got 'symlog'"):
+        svgplot.line_plot(tmp_path / "x.svg", [("a", [1.0, 2.0], [1.0, 2.0])], xscale="symlog")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_unknown_curve_style_is_refused(tmp_path):
+    with pytest.raises(svgplot.ValidationError, match="curve 'b' has unknown style 'dots'"):
+        svgplot.line_plot(tmp_path / "x.svg", [("a", [1.0, 2.0], [1.0, 2.0], "markers"),
+                                               ("b", [1.0, 2.0], [1.0, 2.0], "dots")])
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_heatmap_bytes_unchanged(tmp_path):
     # digest taken before heatmap read z as one array; nested lists and an
     # array of the same values write the same bytes
