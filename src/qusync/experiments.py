@@ -8,10 +8,10 @@ reported at once.  ``evolve`` and ``sync-sweep`` run their xi points through
 an optional process pool, which returns results in input order; ``evolve``
 writes each xi's files as its trajectory completes and then drops it, and
 formats each distinct column of its two tables once.
-``info-sweep`` and ``discord-bench`` compute their points as stacks, with
-the same arithmetic as the one-point library functions: ``info-sweep`` takes
-every state from one stacked SVD of up to ``INFO_CHUNK`` generators, and
-``discord-bench`` runs one compass search over all its states.  Every
+``info-sweep`` and ``discord-bench`` compute their points as stacks, with the
+same arithmetic as the one-point library functions: ``info-sweep`` builds each
+stack of up to ``INFO_CHUNK`` generators in one call and takes every state from
+its one SVD, and ``discord-bench`` runs one compass search over all its states.  Every
 command takes each swept value as one axis, ascending and with -0.0 as +0.0,
 and computes, names, writes and draws its points in that order.  Output
 files are byte-identical for identical config and seed.
@@ -220,9 +220,8 @@ def _info_states(cfg: ExperimentConfig, points) -> tuple[np.ndarray, np.ndarray]
     for start in range(0, len(points), INFO_CHUNK):
         chunk = points[start:start + INFO_CHUNK]
         try:
-            rho, dims = lindblad._steady_states(np.stack(
-                [lindblad.build_liouvillian(replace(cfg.model, xi=xi, gamma=gamma, j_xy=j_xy))
-                 for xi, gamma, j_xy in chunk]), rho0)
+            rho, dims = lindblad._steady_states(
+                lindblad._liouvillians(cfg.model, *np.array(chunk).T), rho0)
             check_density_matrix(rho, name="rho_ss")
         except (NoSteadyStateError, ValidationError, np.linalg.LinAlgError):
             _raise_first_failure(cfg, chunk)

@@ -223,20 +223,25 @@ def _generator_terms(channel: Channel) -> np.ndarray:
 _GENERATOR_TERMS = {ch: _generator_terms(ch) for ch in Channel}
 
 
+def _liouvillians(p: ModelParams, xi, gamma, j_xy) -> np.ndarray:
+    """:func:`build_liouvillian` of ``p`` at each point of equal-shape arrays xi, gamma, j_xy."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = gamma * (1.0 + xi) / 2.0, gamma * (1.0 - xi) / 2.0
+        weights = np.stack(np.broadcast_arrays(p.delta / 2.0, p.tau / 2.0, j_xy, *rates), axis=-1)
+        mats = np.einsum("...k,kij->...ij", weights, _GENERATOR_TERMS[p.channel])
+    require_finite(generator=mats)
+    return mats
+
+
 def build_liouvillian(p: ModelParams) -> np.ndarray:
     """The 16x16 generator: the five terms of the channel weighted by
     delta/2, tau/2, j_xy, gamma (1+xi)/2 and gamma (1-xi)/2.
 
     It acts on column-stacked vectorized states.  Finite inputs can overflow
     it (a rate of 1e308); that raises :class:`ValidationError` naming the
-    generator.
+    generator.  It is the one-point case of the stacked rule of ``info-sweep``.
     """
-    weights = (p.delta / 2.0, p.tau / 2.0, p.j_xy,
-               p.gamma * (1.0 + p.xi) / 2.0, p.gamma * (1.0 - p.xi) / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = np.einsum("k,kij->ij", weights, _GENERATOR_TERMS[p.channel])
-    require_finite(generator=mat)
-    return mat
+    return _liouvillians(p, p.xi, p.gamma, p.j_xy)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -378,7 +383,7 @@ def _steady_states(mats: np.ndarray, rho0: np.ndarray | None = None
     u, vh, zero, dims = _null_spaces(mats)
     d = math.isqrt(mats.shape[-1])
     rho = np.zeros((len(mats), d, d), dtype=complex)
-    for k in np.unique(dims):
+    for k in sorted(set(dims.tolist())):  # np.unique would import numpy.ma
         at = dims == k
         if k == 1:
             # turn the arbitrary phase of each SVD null vector to a positive

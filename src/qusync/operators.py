@@ -322,7 +322,9 @@ def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV rows after ``header`` (column names, or
     ``None``).  The cell pass formats all float columns in one exact ``%.17g`` kernel call
     (a :class:`FloatCells` is formatted already), the others by :func:`_text_cells`."""
-    columns = [col if isinstance(col, FloatCells) else np.asarray(col) for col in columns]
+    # a list of str as objects: numpy's U dtype strips each string's trailing NULs
+    columns = [col if isinstance(col, FloatCells) else np.asarray(
+        col, object if np.asarray(col).dtype.kind == "U" else None) for col in columns]
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")

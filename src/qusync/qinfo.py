@@ -165,12 +165,13 @@ _SIGMA.setflags(write=False)
 
 def _correlation_matrix(rho_ab: np.ndarray) -> np.ndarray:
     """R[mu, nu] = tr(rho (sigma_mu x sigma_nu)), so that
-    rho = sum R[mu, nu] sigma_mu x sigma_nu / 4.
+    rho = sum R[mu, nu] sigma_mu x sigma_nu / 4, of one state or of each of a stack.
 
     R[0, 0] = 1, R[1:, 0] is A's Bloch vector a, R[0, 1:] is B's Bloch
     vector b, and R[1:, 1:] is the correlation tensor T.
     """
-    return np.einsum("abcd,mca,ndb->mn", rho_ab.reshape(2, 2, 2, 2), _SIGMA, _SIGMA).real
+    return np.einsum("...abcd,mca,ndb->...mn", rho_ab.reshape(*rho_ab.shape[:-2], 2, 2, 2, 2),
+                     _SIGMA, _SIGMA).real
 
 
 def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -334,10 +335,9 @@ def _discords(rho_ab: np.ndarray, unit: EntropyUnit):
     arithmetic: each state's grid, then one compass search over the whole
     stack.  Returns I(A:B), the discord, the classical correlation, each
     state's (theta, phi) and the directions each evaluated."""
-    r = [_correlation_matrix(m) for m in rho_ab]
-    starts = [_grid_start(m) for m in r]
-    angles, fun, nfev = _search(np.stack(r), np.array([x for x, _ in starts]),
-                                np.array([f for _, f in starts]))
+    r = _correlation_matrix(rho_ab)
+    x0, fun0 = zip(*(_grid_start(m) for m in r))
+    angles, fun, nfev = _search(r, np.array(x0), np.array(fun0))
     mi, classical, discord = _discord_parts(rho_ab, fun, unit)
     return mi, discord, classical, angles, nfev
 

@@ -261,7 +261,7 @@ def test_unwritable_output_file_exits_one(tmp_path, capsys, monkeypatch):
     for command, csv_name, module, computes in [
         ("evolve", "trajectory_xi+0.300.csv", "lindblad", "evolve"),
         ("sync-sweep", "sync_sweep.csv", "lindblad", "evolve"),
-        ("info-sweep", "info_sweep.csv", "lindblad", "build_liouvillian"),
+        ("info-sweep", "info_sweep.csv", "lindblad", "_liouvillians"),
         ("discord-bench", "discord_bench.csv", "qinfo", "random_density_matrix"),
     ]:
         def no_point(*args, computes=computes, **kwargs):
@@ -660,9 +660,9 @@ def test_info_sweep_unique_fixed_point_of_a_large_generator(tmp_path, model, j_x
 def test_info_sweep_names_a_point_without_fixed_point(tmp_path, monkeypatch):
     from qusync import lindblad
 
-    build = lindblad.build_liouvillian
-    monkeypatch.setattr(lindblad, "build_liouvillian",
-                        lambda p: build(p) + 0.05 * np.eye(16))
+    liouvillians = lindblad._liouvillians
+    monkeypatch.setattr(lindblad, "_liouvillians",
+                        lambda p, *points: liouvillians(p, *points) + 0.05 * np.eye(16))
     cfg = ExperimentConfig(
         xi_values=(0.3,), gamma_values=(0.05,), jxy_values=(0.25,),
         out_dir=str(tmp_path / "none"),
@@ -684,9 +684,11 @@ def test_info_sweep_names_the_first_failing_point(tmp_path, monkeypatch, chunk, 
     # whether they share a stack or not
     from qusync import experiments, lindblad
 
-    build = lindblad.build_liouvillian
-    monkeypatch.setattr(lindblad, "build_liouvillian",
-                        lambda p: build(p) + 0.05 * np.eye(16) * (p.xi == broken_xi))
+    # the stacked rule, which a stack and each point redone alone both take
+    liouvillians = lindblad._liouvillians
+    monkeypatch.setattr(lindblad, "_liouvillians", lambda p, xi, gamma, j_xy: (
+        liouvillians(p, xi, gamma, j_xy)
+        + 0.05 * np.eye(16) * np.asarray(xi == broken_xi)[..., None, None]))
     monkeypatch.setattr(experiments, "INFO_CHUNK", chunk)
     cfg = ExperimentConfig(
         model=ModelParams(delta=1.927770772506825, tau=0.09997343206523866),
@@ -732,11 +734,13 @@ def test_info_sweep_stacks_match_the_one_point_functions(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("chunk", [3, 1024])
 def test_info_sweep_takes_one_svd_per_stack(tmp_path, monkeypatch, chunk):
     # null-space dimensions 4, 1, 4 and 2: every state, the degenerate ones
-    # included, comes from the one SVD of its stack
+    # included, comes from the one SVD of its stack, whose generators are
+    # built in one call of the stacked rule
     from qusync import experiments, lindblad
 
     svd, null_spaces = np.linalg.svd, lindblad._null_spaces
-    stacks, dims = [], []
+    liouvillians = lindblad._liouvillians
+    stacks, dims, built = [], [], []
 
     def counted_svd(a, *args, **kwargs):
         stacks.append(len(a))
@@ -747,10 +751,19 @@ def test_info_sweep_takes_one_svd_per_stack(tmp_path, monkeypatch, chunk):
         dims.extend(result[3].tolist())
         return result
 
+    def counted_liouvillians(p, xi, gamma, j_xy):
+        built.append(np.shape(xi))
+        return liouvillians(p, xi, gamma, j_xy)
+
     def no_asymptotic_state(*args):
         raise AssertionError("asymptotic_state called")
 
+    def no_build_liouvillian(*args):
+        raise AssertionError("build_liouvillian called")
+
     monkeypatch.setattr(experiments, "INFO_CHUNK", chunk)
+    monkeypatch.setattr(lindblad, "_liouvillians", counted_liouvillians)
+    monkeypatch.setattr(lindblad, "build_liouvillian", no_build_liouvillian)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(lindblad, "_null_spaces", recorded_null_spaces)
     monkeypatch.setattr(lindblad, "asymptotic_state", no_asymptotic_state)
@@ -759,6 +772,7 @@ def test_info_sweep_takes_one_svd_per_stack(tmp_path, monkeypatch, chunk):
     cmd_info_sweep(cfg)
     assert dims == [4, 1, 4, 2]
     assert stacks == ([3, 1] if chunk == 3 else [4])
+    assert built == ([(3,), (1,)] if chunk == 3 else [(4,)])
     _, rows = _load_csv(tmp_path / "out" / "info_sweep.csv")
     assert [row[-1] for row in rows] == ["degenerate", "", "degenerate", "degenerate"]
 
@@ -776,6 +790,32 @@ def test_info_sweep_names_a_point_whose_state_the_measures_refuse(tmp_path, caps
     err = capsys.readouterr().err
     assert "xi=+1.000, gamma=0.8543, j_xy=-1.974: " in err
     assert "negative eigenvalue" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_info_sweep_names_a_point_whose_generator_overflows(tmp_path, capsys):
+    # a finite rate of 1e308 overflows its generator inside the stack; the
+    # point redone alone is named, with no numpy warning on the way
+    path = write_config(tmp_path, "[sweep]\nxi = 0.3\ngamma = 0.05, 1e308\nj_xy = 0.25\n")
+    assert cli.main(["info-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: steady state failed at xi=+0.300, gamma=1e+308, j_xy=+0.250: "
+        "generator must be finite\n")
+
+
+def test_info_sweep_leaves_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which a fresh info-sweep
+    # process would pay for; the sweep has null-space dimensions 4, 1, 4, 2
+    path = write_config(tmp_path, "[sweep]\nxi = 0.3, 1\ngamma = 0, 0.05\nj_xy = 0.25\n")
+    code = ("import sys\n"
+            "from qusync import cli\n"
+            "assert cli.main(['info-sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qusync.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):

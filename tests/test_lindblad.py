@@ -190,6 +190,32 @@ def test_liouvillian_spectrum_contractive():
             assert evals.real.max() <= 1e-12
 
 
+@pytest.mark.parametrize("channel", list(lb.Channel))
+def test_stacked_generators_equal_the_one_point_rule_bit_for_bit(channel):
+    # a (xi, gamma, j_xy) grid with xi = +-1 and gamma = 0, kept in its 3-D
+    # shape: each generator of the stack is build_liouvillian's, every bit
+    # and every signed zero
+    p = lb.ModelParams(delta=-1.3, tau=0.7, channel=channel)
+    xi, gamma, j_xy = np.meshgrid([-1.0, -0.4, 0.0, 0.7, 1.0], [0.0, 0.05, 3.0],
+                                  [-0.6, 0.0, 0.25], indexing="ij")
+    stack = lb._liouvillians(p, xi, gamma, j_xy)
+    assert stack.shape == xi.shape + (16, 16)
+    for k in np.ndindex(xi.shape):
+        one = lb.build_liouvillian(lb.ModelParams(
+            delta=-1.3, tau=0.7, xi=float(xi[k]), gamma=float(gamma[k]), j_xy=float(j_xy[k]),
+            channel=channel))
+        assert stack[k].tobytes() == one.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_generators_refuse_an_overflowing_point():
+    # one rate of 1e308 among finite ones: the stack is refused, naming the
+    # generator, with no numpy warning on the way
+    with pytest.raises(ValidationError, match=r"^generator must be finite$"):
+        lb._liouvillians(FIG_PARAMS, np.array([0.3, 0.3]), np.array([0.05, 1e308]),
+                         np.array([0.25, 0.25]))
+
+
 def test_superoperator_decomposition_identity():
     # same identity as the dissipator test, but at the 16x16 matrix level
     for xi in (-1.0, -0.4, 0.0, 0.4, 1.0):

@@ -522,6 +522,9 @@ def test_write_csv_keeps_nul_inside_string_cells(tmp_path):
     text = template_text(header, [columns[0].tolist(), labels, list(range(n))])
     assert path.read_bytes() == text.encode()
     assert text.count("a\0b") == len(range(0, n, len(kinds)))
+    # a list of str keeps its trailing NULs too
+    ops.write_csv(path, ("s",), [["a\0", "\0", "b"]])
+    assert path.read_bytes() == b"s\na\0\n\0\nb\n"
 
 
 def test_write_csv_zero_rows_writes_the_header_alone(tmp_path):
