@@ -158,9 +158,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
 
 def _sync_point(cfg: ExperimentConfig, xi: float) -> tuple[float, float]:
     res = _evolve_point(cfg, xi)
-    s1 = phaselock.TimeSeries(res.times, res.observables["sz1"])
-    s2 = phaselock.TimeSeries(res.times, res.observables["sz2"])
     try:
+        s1 = phaselock.TimeSeries(res.times, res.observables["sz1"])
+        s2 = phaselock.TimeSeries(res.times, res.observables["sz2"])
         metrics = phaselock.sync_metrics(s1, s2, cfg.window_fraction)
     except ValidationError as exc:
         raise NumericalFailure(f"phase analysis failed at xi={xi:+.3f}: {exc}") from exc
@@ -248,8 +248,7 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     _check_writable(csv_path)
     points = list(product(xis, gammas, jxys))
     states, degenerate = _info_states(cfg, points)
-    mi, mi_classical = qinfo._informations(states, cfg.unit)
-    dq = mi - mi_classical
+    mi, mi_classical, dq = qinfo._informations(states, cfg.unit)
 
     header = ("xi", "gamma", "jxy", "mutual_info", "classical_mutual_info",
               "degree_of_quantumness", "flag")
@@ -301,9 +300,7 @@ def cmd_discord_bench(cfg: ExperimentConfig) -> list[Path]:
     rho = check_density_matrix(
         np.stack([qinfo.random_density_matrix(4, rank, seed) for seed, rank in draws]))
     purity = np.trace(rho @ rho, axis1=1, axis2=2).real
-    mi, discord, classical, angles, _ = qinfo._discords(rho, cfg.unit)
-    # degree of quantumness: I(A:B) minus the diagonal-truncation one
-    dq = mi - qinfo._mutual_information_nats(qinfo._dephased(rho)) * cfg.unit.per_nat
+    mi, discord, classical, dq, angles, _ = qinfo._discords(rho, cfg.unit)
     qinfo.save_discord_csv(csv_path, [*zip(*draws), purity, mi, discord, classical, dq,
                                       *zip(*angles)])
     written = [csv_path]

@@ -2,8 +2,11 @@
 
 Entropies, mutual information, quantum discord minimized over two-element
 orthogonal measurements on qubit B, the diagonal-truncation classical mutual
-information, the quantumness upper bound on the discord built from it, and
-fixed-rank random density matrices.
+information I_diag, the quantumness upper bound I - I_diag on the discord
+built from it, and fixed-rank random density matrices.  I_diag is the
+Shannon mutual information of the four computational-basis probabilities
+p_ab = Re rho_(ab,ab), so no dephased matrix is built, and I - I_diag is
+decided in ``_informations`` alone.
 
 Discord is computed in correlation-matrix form: with
 rho = sum R[mu, nu] sigma_mu x sigma_nu / 4, measuring B along the Bloch
@@ -15,8 +18,9 @@ in-house compass search over the same closed form refines the grid's best
 direction.  No projector is built; :class:`MeasurementBasis` only names
 the measurement that :func:`discord_min` reports.  The search, the entropies
 and the mutual informations also run on a stack of states, with the same
-arithmetic as the one-state functions (``_discords`` and ``_informations``,
-which ``discord-bench`` and ``info-sweep`` call).
+arithmetic as the one-state functions: the stacked functions are
+``_discords``, which ``discord-bench`` calls, and ``_informations``, which
+``info-sweep`` and the one-state measures call.
 
 Entropies default to bits, so a maximally entangled pure state has discord 1;
 nats are selectable everywhere through :class:`EntropyUnit`.
@@ -96,40 +100,36 @@ def von_neumann_entropy(rho: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -
     return float(_entropy_nats(np.linalg.eigvalsh(rho))) * unit.per_nat
 
 
-def _entropies_nats(rho_ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(A), S(B) and S(AB) in nats of a two-qubit state that is already
-    checked, or of each state of an (n, 4, 4) stack."""
+def _reduced_states(rho_ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho_A, rho_B and rho_AB of a two-qubit state, or of each state of a stack."""
     r = rho_ab.reshape(*rho_ab.shape[:-2], 2, 2, 2, 2)
-    states = (np.einsum("...abcb->...ac", r), np.einsum("...abad->...bd", r), rho_ab)
-    return tuple(_entropy_nats(np.linalg.eigvalsh(m)) for m in states)
+    return np.einsum("...abcb->...ac", r), np.einsum("...abad->...bd", r), rho_ab
 
 
-def _mutual_information_nats(rho_ab: np.ndarray) -> np.ndarray:
-    """I(A:B) in nats of a checked two-qubit state, or of each state of a stack."""
-    s_a, s_b, s_ab = _entropies_nats(rho_ab)
-    return s_a + s_b - s_ab
+def _informations(rho_ab: np.ndarray, unit: EntropyUnit):
+    """I(A:B), the diagonal-truncation mutual information I_diag and the
+    degree of quantumness I - I_diag of a checked two-qubit state, or of each
+    state of an (n, 4, 4) stack: the one rule behind :func:`mutual_information`,
+    :func:`classical_mutual_information`, :func:`degree_of_quantumness`,
+    ``info-sweep`` and ``discord-bench``.
 
-
-def _dephased(rho_ab: np.ndarray) -> np.ndarray:
-    """diag(rho) as a matrix, of one state or of each state of a stack."""
-    out = np.zeros_like(rho_ab)
-    k = np.arange(rho_ab.shape[-1])
-    out[..., k, k] = rho_ab[..., k, k]
-    return out
-
-
-def _informations(rho_ab: np.ndarray, unit: EntropyUnit) -> tuple[np.ndarray, np.ndarray]:
-    """I(A:B) and the diagonal-truncation mutual information of a checked
-    two-qubit state, or of each state of an (n, 4, 4) stack: what
-    :func:`mutual_information` and :func:`classical_mutual_information`
-    return, with the same arithmetic."""
-    return (_mutual_information_nats(rho_ab) * unit.per_nat,
-            _mutual_information_nats(_dephased(rho_ab)) * unit.per_nat)
+    I_diag is the Shannon mutual information of the four computational-basis
+    outcomes p_ab = Re rho_(ab,ab), whose marginals are the diagonals of rho_A
+    and rho_B.  Each distribution is sorted ascending, the order in which
+    eigvalsh returns the spectrum of the dephased state diag(rho) and of its
+    reduced states, so I_diag is that of diag(rho) bit for bit.
+    """
+    states = _reduced_states(rho_ab)
+    s_a, s_b, s_ab = (_entropy_nats(np.linalg.eigvalsh(m)) for m in states)
+    h_a, h_b, h_ab = (_entropy_nats(np.sort(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1))
+                      for m in states)
+    mi, mi_diag = (s_a + s_b - s_ab) * unit.per_nat, (h_a + h_b - h_ab) * unit.per_nat
+    return mi, mi_diag, mi - mi_diag
 
 
 def mutual_information(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) >= 0, the total correlation content."""
-    return float(_mutual_information_nats(_require_two_qubits(rho_ab)) * unit.per_nat)
+    return float(_informations(_require_two_qubits(rho_ab), unit)[0])
 
 
 @dataclass(frozen=True)
@@ -295,14 +295,14 @@ def minimize(r: np.ndarray, x0: tuple[float, float], fun0: float) -> SearchResul
 
 
 def _discord_parts(rho_ab: np.ndarray, fun, unit: EntropyUnit):
-    """I(A:B), the classical correlation and the discord (clipped below at 0)
-    of a checked state whose least conditional entropy is ``fun`` nats, or
-    of each state of a stack."""
-    s_a, s_b, s_ab = _entropies_nats(rho_ab)
-    mi = (s_a + s_b - s_ab) * unit.per_nat
+    """I(A:B), the classical correlation, the discord (clipped below at 0)
+    and I - I_diag of a checked state whose least conditional entropy is
+    ``fun`` nats, or of each state of a stack."""
+    mi, _, dq = _informations(rho_ab, unit)
+    s_a = _entropy_nats(np.linalg.eigvalsh(_reduced_states(rho_ab)[0]))
     classical = (s_a - fun) * unit.per_nat
     discord = mi - classical
-    return mi, classical, np.where(discord < 0.0, 0.0, discord)
+    return mi, classical, np.where(discord < 0.0, 0.0, discord), dq
 
 
 def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> DiscordResult:
@@ -321,7 +321,7 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
     rho_ab = _require_two_qubits(rho_ab)
     r = _correlation_matrix(rho_ab)
     res = minimize(r, *_grid_start(r))
-    mi, classical, discord = _discord_parts(rho_ab, res.fun, unit)
+    mi, classical, discord, _ = _discord_parts(rho_ab, res.fun, unit)
     return DiscordResult(
         discord=float(discord),
         classical_correlation=float(classical),
@@ -333,26 +333,28 @@ def discord_min(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> Dis
 def _discords(rho_ab: np.ndarray, unit: EntropyUnit):
     """:func:`discord_min` over a checked (n, 4, 4) stack, with the same
     arithmetic: each state's grid, then one compass search over the whole
-    stack.  Returns I(A:B), the discord, the classical correlation, each
-    state's (theta, phi) and the directions each evaluated."""
+    stack.  Returns I(A:B), the discord, the classical correlation,
+    I - I_diag, each state's (theta, phi) and the directions each evaluated."""
     r = _correlation_matrix(rho_ab)
     x0, fun0 = zip(*(_grid_start(m) for m in r))
     angles, fun, nfev = _search(r, np.array(x0), np.array(fun0))
-    mi, classical, discord = _discord_parts(rho_ab, fun, unit)
-    return mi, discord, classical, angles, nfev
+    mi, classical, discord, dq = _discord_parts(rho_ab, fun, unit)
+    return mi, discord, classical, dq, angles, nfev
 
 
 def classical_mutual_information(
     rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS
 ) -> float:
-    """Mutual information of diag(rho) in the computational product basis.
+    """Mutual information I_diag of diag(rho) in the computational product basis.
 
-    Dephasing to the diagonal is a local operation, so the result never
-    exceeds I(A:B) (up to round-off).  The truncation basis is pinned to the
-    fixed computational product basis.  diag(rho) needs no check of its
-    own: each diagonal entry is at least the smallest eigenvalue of rho.
+    That is the Shannon mutual information of the four outcome probabilities
+    p_ab = Re rho_(ab,ab): H(p_a.) + H(p_.b) - H(p).  Dephasing to the
+    diagonal is a local operation, so the result never exceeds I(A:B) (up to
+    round-off).  The truncation basis is pinned to the fixed computational
+    product basis.  The p_ab need no check of their own: each is at least
+    the smallest eigenvalue of rho.
     """
-    return float(_mutual_information_nats(_dephased(_require_two_qubits(rho_ab))) * unit.per_nat)
+    return float(_informations(_require_two_qubits(rho_ab), unit)[1])
 
 
 def degree_of_quantumness(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BITS) -> float:
@@ -363,8 +365,7 @@ def degree_of_quantumness(rho_ab: np.ndarray, unit: EntropyUnit = EntropyUnit.BI
     keeps no more correlation than measuring B along z, which keeps no more
     than the best measurement, so I_diag <= J(z) <= max J.
     """
-    mi, mi_diag = _informations(_require_two_qubits(rho_ab), unit)
-    return float(mi - mi_diag)
+    return float(_informations(_require_two_qubits(rho_ab), unit)[2])
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:

@@ -12,7 +12,9 @@ Everything here deliberately avoids the library's own code paths, and no
 * one projector path for measurements on qubit B, which both the
   single-basis functions and the dense-grid discord scan use;
 * the exact rank-2 discord of Koashi & Winter with Wootters' concurrence;
-* the relative entropy from the eigenbases of both states;
+* the relative entropy from the eigenbases of both states, and the mutual
+  information of the dephased state diag(rho) from the eigenvalues of that
+  matrix and of its partial traces;
 * partial traces as explicit index sums, the 3-outcome POVM oracle with
   Bloch vectors from explicit traces, and batch-means standard errors;
 * the M4 decimation of a polyline by one stable sort over (column, y).
@@ -180,6 +182,25 @@ def entropy_bits(spectrum: np.ndarray) -> float:
     lam = np.clip(np.asarray(spectrum, dtype=float), 0.0, None)
     lam = lam[lam > 1e-14]
     return float(-(lam * np.log2(lam)).sum())
+
+
+def dephased_mutual_information_nats(rho: np.ndarray) -> np.ndarray:
+    """Mutual information in nats of the dephased state diag(rho), of one
+    two-qubit state or of each state of a stack, from the eigenvalues of that
+    4x4 matrix and of its two partial traces; eigenvalues at or below 1e-12
+    count as 0, as in the package's entropies."""
+    dephased = np.zeros_like(rho)
+    k = np.arange(4)
+    dephased[..., k, k] = rho[..., k, k]
+    r = dephased.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+
+    def entropy(m):
+        lam = np.linalg.eigvalsh(m)
+        lam = np.where(lam > 1e-12, lam, 1.0)
+        return -(lam * np.log(lam)).sum(axis=-1)
+
+    return (entropy(np.einsum("...abcb->...ac", r)) + entropy(np.einsum("...abad->...bd", r))
+            - entropy(dephased))
 
 
 def relative_entropy_bits(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -429,6 +429,17 @@ def test_cli_sync_sweep_single_point(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sync_sweep_too_short_for_the_phase_analysis_names_the_point(tmp_path, capsys, workers):
+    # 11 samples fall short of the phase analysis; the first xi in grid
+    # order, -0.0 read as +0.0, is named
+    path = write_config(tmp_path, "[evolution]\nt_final = 0.1\ndt = 0.01\n[sweep]\n"
+                                  f"xi = 0.5, -0.0\n[output]\nworkers = {workers}\n")
+    assert cli.main(["sync-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: phase analysis failed at xi=+0.000: need at least 16 samples\n")
+
+
 def test_cli_info_sweep_flags_and_rows(tmp_path):
     cfg = write_config(tmp_path, SMALL_INFO)
     assert cli.main(["info-sweep", "--config", str(cfg)]) == 0
@@ -460,6 +471,25 @@ def test_cli_discord_bench_end_to_end(tmp_path):
     for name in ("discord_rank2.svg", "discord_all_ranks.svg",
                  "quantumness_vs_discord.svg"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("unit", list(EntropyUnit))
+def test_discord_bench_rows_match_the_one_state_functions(tmp_path, unit):
+    # every row's state, drawn again from its seed and rank, gives the row's
+    # values through the one-state functions bit for bit
+    from qusync import qinfo
+
+    cmd_discord_bench(ExperimentConfig(n_states=3, ranks=(1, 2, 3, 4), unit=unit, seed=5,
+                                       out_dir=str(tmp_path)).validate())
+    _, rows = _load_csv(tmp_path / "discord_bench.csv")
+    assert len(rows) == 12
+    for seed, rank, *values in rows:
+        rho = qinfo.random_density_matrix(4, int(rank), int(seed))
+        res = qinfo.discord_min(rho, unit)
+        assert np.array_equal([float(v) for v in values], [
+            np.trace(rho @ rho).real, res.mutual_information, res.discord,
+            res.classical_correlation, qinfo.degree_of_quantumness(rho, unit),
+            res.optimal_basis.theta, res.optimal_basis.phi])
 
 
 def test_cli_unit_override_scales_entropies(tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from qusync import experiments, qinfo
 from qusync.config import ExperimentConfig
+from qusync.lindblad import Channel, ModelParams
 from qusync.operators import (
     DimensionError,
     ValidationError,
@@ -23,6 +24,7 @@ from tests.oracles import (
     classical_correlation,
     conditional_entropy,
     dense_grid_discord,
+    dephased_mutual_information_nats,
     haar_reduced_purity,
     loop_partial_trace,
     measure_on_b,
@@ -337,16 +339,17 @@ def test_stacked_discord_matches_discord_min():
     u = kron(pauli("id"), math.cos(0.0015) * pauli("id") - 1j * math.sin(0.0015) * pauli("x"))
     states.append(u @ rho @ u.conj().T)
     for unit in EntropyUnit:
-        mi, discord, classical, angles, nfev = qinfo._discords(np.stack(states), unit)
+        mi, discord, classical, dq, angles, nfev = qinfo._discords(np.stack(states), unit)
         assert len(set(nfev)) > 1
         for k, rho in enumerate(states):
             res = qinfo.discord_min(rho, unit)
             r = qinfo._correlation_matrix(rho)
             search = qinfo.minimize(r, *qinfo._grid_start(r))
             assert np.array_equal(
-                [mi[k], discord[k], classical[k], *angles[k], nfev[k]],
+                [mi[k], discord[k], classical[k], dq[k], *angles[k], nfev[k]],
                 [res.mutual_information, res.discord, res.classical_correlation,
-                 res.optimal_basis.theta, res.optimal_basis.phi, search.nfev])
+                 qinfo.degree_of_quantumness(rho, unit), res.optimal_basis.theta,
+                 res.optimal_basis.phi, search.nfev])
 
 
 def test_discord_matches_dense_grid_oracle():
@@ -393,6 +396,61 @@ def test_classical_mutual_information_bounded_by_total():
         rho = qinfo.random_density_matrix(4, int(rng.integers(1, 5)), rng)
         assert (qinfo.classical_mutual_information(rho)
                 <= qinfo.mutual_information(rho) + 1e-10)
+
+
+def _info_sweep_states(channel):
+    """The states of the default info-sweep grid with gamma = 0 added."""
+    cfg = ExperimentConfig(model=ModelParams(channel=channel),
+                           gamma_values=(0.0, *ExperimentConfig().gamma_values)).validate()
+    points = list(product(cfg.xi_values, cfg.gamma_values, cfg.jxy_values))
+    return experiments._info_states(cfg, points)[0]
+
+
+def test_diagonal_information_matches_the_dephased_state():
+    # I_diag from the sorted computational-basis probabilities is the mutual
+    # information of the dephased matrix diag(rho) bit for bit, one state at
+    # a time and on stacks
+    rng = np.random.default_rng(131)
+    drawn = [qinfo.random_density_matrix(4, rank, rng) for rank in (1, 2, 3, 4)
+             for _ in range(500)]
+    states = [bell_state(), product_state(3), classical_mixture(), np.eye(4, dtype=complex) / 4]
+    for _ in range(100):
+        # X states: a diagonal, and the two anti-diagonal coherences it allows
+        p = rng.dirichlet(np.ones(4))
+        x = np.diag(p).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            x[i, j] = rng.uniform() * np.sqrt(p[i] * p[j]) * np.exp(2j * np.pi * rng.uniform())
+            x[j, i] = x[i, j].conjugate()
+        states.append(x)
+    # diagonal states with exact zeros, -0.0 and round-off-sized entries
+    for diag in ([0.5, -0.0, 0.0, 0.5], [1.0, 0.0, -0.0, -0.0], [0.25] * 4,
+                 [0.5, 1e-17, -1e-17, 0.5], [-1e-17, 0.3, 0.7, 1e-17], [0.0, 0.6, -0.0, 0.4]):
+        states.append(np.diag(diag).astype(complex))
+    stack = check_density_matrix(np.stack(states + drawn))
+    for unit in EntropyUnit:
+        want = (dephased_mutual_information_nats(stack) * unit.per_nat).view(np.int64)
+        assert np.array_equal(qinfo._informations(stack, unit)[1].view(np.int64), want)
+        one = np.array([qinfo.classical_mutual_information(rho, unit) for rho in states])
+        assert np.array_equal(one.view(np.int64), want[:len(states)])
+    for channel in Channel:
+        stack = _info_sweep_states(channel)
+        for unit in EntropyUnit:
+            assert np.array_equal(
+                qinfo._informations(stack, unit)[1].view(np.int64),
+                (dephased_mutual_information_nats(stack) * unit.per_nat).view(np.int64))
+
+
+def test_stacked_measures_take_one_spectrum_per_reduced_state(monkeypatch):
+    # I_diag takes no spectrum: _informations takes those of rho_A, rho_B and
+    # rho_AB, and _discords one more, rho_A's, for the classical correlation
+    stack = np.stack([qinfo.random_density_matrix(4, 2, seed) for seed in range(3)])
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+    qinfo._informations(stack, EntropyUnit.BITS)
+    assert shapes == [(3, 2, 2), (3, 2, 2), (3, 4, 4)]
+    shapes.clear()
+    qinfo._discords(stack, EntropyUnit.BITS)
+    assert shapes == [(3, 2, 2), (3, 2, 2), (3, 4, 4), (3, 2, 2)]
 
 
 def test_degree_of_quantumness_reference_states():
