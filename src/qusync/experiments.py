@@ -64,7 +64,8 @@ def _map_points(fn, cfg: ExperimentConfig, values):
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(values) // (4 * cfg.workers))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the pool forks all its workers at the first submit, so no more than there are values
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(values))) as pool:
         yield from pool.map(fn, repeat(cfg), values, chunksize=chunk)
 
 

@@ -92,34 +92,42 @@ def require_finite(**values) -> None:
             raise ValidationError(f"{name} must be finite" + (f", got {value}" if scalar else ""))
 
 
-def _ldl_positive(stack: np.ndarray, atol: float) -> np.ndarray:
-    """Whether rho + atol*I is positive definite, for each state of an
-    (n, d, d) stack, by the pivots of its LDL† factorization: one pass over
-    the entries of the lower triangle (the diagonal's real part), in real
-    arithmetic on the whole stack.  A Hermitian matrix is positive definite
-    exactly when every pivot is above 0, and the factorization decides that
-    as stably as Cholesky's (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10).  A NaN or an infinity read fails.
+def _screen(stack: np.ndarray, atol: float):
+    """Each state's hermiticity deviation, trace and positivity verdict, for
+    an (n, d, d) stack, from one loop over its columns in complex arithmetic.
+
+    Column j reads rho_ij for i >= j, and rho_ji: it takes the largest
+    ``|rho_ij - conj(rho_ji)|`` (the upper triangle's values are the same),
+    adds rho_jj to the trace, and makes column j of the LDL† factorization,
+    W = L D, of the rho + atol*I that the lower triangle defines (k < j < i):
+
+        pivot_j = Re rho_jj + atol - sum_k Re(W_jk conj L_jk)
+        W_ij = rho_ij - sum_k W_ik conj L_jk,   L_ij = W_ij / pivot_j
+
+    A Hermitian matrix is positive definite exactly when every pivot is above
+    0, as stably decided as by Cholesky (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10); a state passes when all lie in (0, inf).
     """
-    d = stack.shape[-1]
-    # column by column, W = L D and L, each entry a (real, imaginary) pair
-    w, low = {}, {}
-    positive = np.ones(len(stack), dtype=bool)
-    with np.errstate(all="ignore"):  # a pivot <= 0 or NaN has failed already
+    n, d = stack.shape[:2]
+    herm, trace, positive = np.zeros(n), np.zeros(n, dtype=complex), np.ones(n, dtype=bool)
+    w, low = {}, {}  # [i, k]: W_ik and L_ik, k < i
+    # inf - inf is NaN, 1e308 + 1e308 is inf and a pivot may be 0: each fails
+    with np.errstate(all="ignore"):
         for j in range(d):
+            for i in range(j, d):
+                np.maximum(herm, np.abs(stack[:, i, j] - stack[:, j, i].conj()), out=herm)
+            trace += stack[:, j, j]
             pivot = stack[:, j, j].real + atol
-            for k in range(j):  # - sum_k D_k |L_jk|^2
-                (wr, wi), (lr, li) = w[j, k], low[j, k]
-                pivot = pivot - (wr * lr + wi * li)
+            for k in range(j):
+                pivot = pivot - (w[j, k] * low[j, k].conj()).real
             positive &= (0.0 < pivot) & (pivot < np.inf)
+            scale = 1.0 / pivot  # a product: numpy divides by a real as by a complex number
             for i in range(j + 1, d):
-                re, im = stack[:, i, j].real, stack[:, i, j].imag
-                for k in range(j):  # - sum_k W_ik conj(L_jk)
-                    (wr, wi), (lr, li) = w[i, k], low[j, k]
-                    re = re - (wr * lr + wi * li)
-                    im = im - (wi * lr - wr * li)
-                w[i, j], low[i, j] = (re, im), (re / pivot, im / pivot)
-    return positive
+                x = stack[:, i, j]
+                for k in range(j):
+                    x = x - w[i, k] * low[j, k].conj()
+                w[i, j], low[i, j] = x, x * scale
+    return herm, trace, positive
 
 
 def check_density_matrix(rho: np.ndarray, *, atol: float = ATOL,
@@ -128,31 +136,21 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = ATOL,
     (d, d) state or of each state of an (n, d, d) stack, each up to ``atol``;
     a test passes only at or below it, so NaN and inf fail.
 
-    One pass over the entries ``stack[:, i, j]``, which are contiguous in an
-    entry-major stack such as ``evolve``'s: the largest
-    ``|rho_ij - conj(rho_ji)|`` over the upper triangle and the diagonal (the
-    lower triangle's values are the same), the trace, and the pivots of an
-    LDL† factorization of rho + atol*I read from the lower triangle.  Spectra
-    are taken only of the Hermitian states with a pivot not above 0.  This is
-    the package's only positivity rule.  Raises :class:`ValidationError` for
-    the first failing state, named ``"{name} {k}"`` in a stack; returns rho
-    as complex.
+    One complex loop over the columns of the whole stack (:func:`_screen`)
+    gives each state's largest ``|rho_ij - conj(rho_ji)|``, trace and LDL†
+    pivots of rho + atol*I; spectra are taken only of the Hermitian states
+    with a pivot not in (0, inf).  This is the package's only positivity
+    rule.  Raises :class:`ValidationError` for the first failing state, named
+    ``"{name} {k}"`` in a stack; returns rho as complex.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2] != rho.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {rho.shape}")
     stack = rho.reshape(-1, *rho.shape[-2:])
-    d = stack.shape[-1]
-    herm = np.zeros(len(stack))
-    # inf - inf is NaN and 1e308 + 1e308 is inf, each of which fails the test
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(d):
-            for j in range(i, d):
-                np.maximum(herm, np.abs(stack[:, i, j] - stack[:, j, i].conj()), out=herm)
+    herm, tr, positive = _screen(stack, atol)
     hermitian = herm <= atol  # so only finite states are diagonalized below
-    tr = np.einsum("nii->n", stack)
     w = np.zeros(len(stack))
-    suspect = hermitian & ~_ldl_positive(stack, atol)
+    suspect = hermitian & ~positive
     if suspect.any():
         w[suspect] = np.linalg.eigvalsh(stack[suspect]).min(axis=1)
     tests = [(hermitian, "is not Hermitian (max deviation {:.3e})", herm),

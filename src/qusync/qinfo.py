@@ -175,16 +175,16 @@ def _correlation_matrix(rho_ab: np.ndarray) -> np.ndarray:
 
 
 def _conditional_entropy_grid(r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Conditional entropy in nats for measurement directions ``n`` of shape
-    (..., 3), from the correlation matrix ``r``; or, for a stack ``r`` of
-    shape (s, 4, 4), of each state's directions ``n`` of shape (s, k, 3).
+    """Conditional entropy in nats, shape (s, k), of each correlation matrix of
+    a stack ``r`` of shape (s, 4, 4), for its measurement directions ``n`` of
+    shape (s, k, 3), or for directions of shape (k, 3) shared by all.
 
     Outcome +-1 along n leaves A in sum_mu u_mu sigma_mu / 4 with
     u = R (1, +-n): probability p = u_0 / 2 = (1 +- b.n) / 2 and Bloch vector
     (a +- T n) / u_0, whose length l gives the spectrum (1 +- l) / 2.
     """
     t_n = n @ r[..., 1:].swapaxes(-1, -2)
-    r_0 = r[:, 0] if r.ndim == 2 else r[:, None, :, 0]
+    r_0 = r[:, None, :, 0]
     total = 0.0
     for sign in (1.0, -1.0):
         u0, u1, u2, u3 = np.moveaxis(r_0 + sign * t_n, -1, 0)
@@ -203,11 +203,11 @@ def _directions(theta, phi) -> np.ndarray:
 
 
 # The discord search grid, built once: its angles and the Bloch direction
-# at each (theta, phi), shape (N_THETA // 2 + 1, N_PHI, 3).  Both angles are
-# spaced by pi/64, the first step of the compass search.
+# at each (theta, phi), theta-major, shape ((N_THETA // 2 + 1) * N_PHI, 3).
+# Both angles are spaced by pi/64, the first step of the compass search.
 _GRID_THETAS = np.linspace(0.0, math.pi / 2.0, N_THETA // 2 + 1)
 _GRID_PHIS = np.linspace(0.0, 2.0 * math.pi, N_PHI, endpoint=False)
-_GRID_N = _directions(*np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
+_GRID_N = _directions(*np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij")).reshape(-1, 3)
 # The 8 compass neighbours of a point, in units of the step.
 _COMPASS = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
                     dtype=float)
@@ -225,9 +225,9 @@ class SearchResult:
 def _grid_start(r: np.ndarray) -> tuple[tuple[float, float], float]:
     """The grid point (theta, phi) of least conditional entropy of correlation
     matrix ``r``, and that entropy in nats."""
-    surface = _conditional_entropy_grid(r, _GRID_N)
-    i0, j0 = np.unravel_index(np.argmin(surface), surface.shape)
-    return (_GRID_THETAS[i0], _GRID_PHIS[j0]), float(surface[i0, j0])
+    surface = _conditional_entropy_grid(r[None], _GRID_N)[0]
+    best = int(np.argmin(surface))
+    return (_GRID_THETAS[best // N_PHI], _GRID_PHIS[best % N_PHI]), float(surface[best])
 
 
 def _folded_angles(frame: np.ndarray, x: np.ndarray) -> tuple[float, float]:

@@ -47,11 +47,11 @@ def _color(frac: float) -> str:
     return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / 4  # the step of about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0)), key=lambda s: abs(s * mag - raw)) * mag
     first = math.ceil(lo / step) * step

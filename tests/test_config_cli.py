@@ -557,6 +557,40 @@ def test_worker_pool_matches_serial(tmp_path, command, settings):
         assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("workers, n_values, pool_size, chunk", [
+    (64, 2, 2, 1), (3, 30, 3, 2), (4, 4, 4, 1)])
+def test_worker_pool_is_no_larger_than_the_points(monkeypatch, workers, n_values, pool_size,
+                                                  chunk):
+    # the process pool forks all its workers at the first submit; a stand-in
+    # pool records its size and chunk and maps serially, so no process starts
+    import concurrent.futures
+
+    from qusync import experiments
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            made.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(workers=workers).validate()
+    values = list(range(n_values))
+    assert list(experiments._map_points(lambda c, v: (c.workers, v), cfg, values)) == [
+        (workers, v) for v in values]
+    assert made == [pool_size, chunk]
+
+
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize", "scipy",
                                     "urllib.request", "concurrent.futures.process"])
 def test_cli_import_leaves_out(module):

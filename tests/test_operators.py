@@ -229,11 +229,30 @@ def test_positivity_screen_matches_eigvalsh(d, atol):
         if family in ("shifted", "lower-only"):
             assert 0.3 < want.mean() < 0.7, family
         for layout, states in (("contiguous", stack), ("entry-major", entry_major(stack))):
-            got = ops._ldl_positive(states, atol)
+            got = ops._screen(states, atol)[2]
             wrong = np.flatnonzero((got != want) & ~excused)
             assert not wrong.size, (
                 f"{family} {layout}: {wrong.size} verdicts differ from eigvalsh, e.g. state "
                 f"{wrong[0]} with lambda_min + atol = {lowest[wrong[0]] + atol:.3e}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("atol", [ops.ATOL, lindblad.STATE_ATOL])
+@pytest.mark.parametrize("d", [2, 4])
+def test_screen_hermiticity_and_trace_are_the_dense_values(d, atol):
+    # the column loop's hermiticity deviation and trace are the whole-matrix
+    # expressions bit for bit, NaN, inf and a diagonal of -0.0j included, on
+    # both storage orders
+    rng = np.random.default_rng(2310 + d)
+    for family, stack in screen_families(rng, d, 300, atol).items():
+        stack.imag[::7, range(d), range(d)] = -0.0
+        with np.errstate(all="ignore"):
+            herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace = np.einsum("nii->n", stack)
+        for layout, states in (("contiguous", stack), ("entry-major", entry_major(stack))):
+            got_herm, got_trace, _ = ops._screen(states, atol)
+            assert np.array_equal(got_herm.view(np.int64), herm.view(np.int64)), (family, layout)
+            assert np.array_equal(got_trace.view(np.int64), trace.view(np.int64)), (family, layout)
 
 
 @pytest.mark.filterwarnings("error")

@@ -250,7 +250,7 @@ def test_bloch_form_conditional_entropy_matches_projectors():
         r = qinfo._correlation_matrix(rho)
         n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
                       math.cos(theta)])
-        assert abs(float(qinfo._conditional_entropy_grid(r, n)) - want) <= 1e-12
+        assert abs(qinfo._conditional_entropy_grid(r[None], n[None])[0, 0] - want) <= 1e-12
 
 
 def test_discord_bell_state():
