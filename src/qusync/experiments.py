@@ -29,7 +29,7 @@ from . import lindblad, phaselock, qinfo, svgplot
 from .config import ConfigError, ExperimentConfig
 from .lindblad import NoSteadyStateError
 from .operators import (
-    FloatCells,
+    Cells,
     ValidationError,
     basis_ket,
     check_density_matrix,
@@ -114,10 +114,10 @@ def _check_writable(path: Path) -> None:
         path.unlink()
 
 
-def _evolve_point(cfg: ExperimentConfig, xi: float) -> lindblad.EvolutionResult:
+def _evolve_point(cfg: ExperimentConfig, xi: float, **options) -> lindblad.EvolutionResult:
     try:
         result = lindblad.evolve(replace(cfg.model, xi=xi), _initial_state(cfg),
-                                 cfg.t_final, cfg.dt)
+                                 cfg.t_final, cfg.dt, **options)
     except (ValidationError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"evolution failed at xi={xi:+.3f}: {exc}") from exc
     # callers read only times and observables, so the states are not sent back
@@ -136,9 +136,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
         # t_final / dt steps at every xi, once, and each observable once for
         # both of the tables that hold it
         if t_cells is None:
-            t_cells = FloatCells(res.times)
+            t_cells = Cells(res.times)
         cells = replace(res, times=t_cells, observables={
-            name: FloatCells(values) for name, values in res.observables.items()})
+            name: Cells(values) for name, values in res.observables.items()})
         tag = XI_TAG.format(xi)
         csv_path = out / f"trajectory_{tag}.csv"
         lindblad.save_evolution_csv(csv_path, cells)
@@ -158,7 +158,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _sync_point(cfg: ExperimentConfig, xi: float) -> tuple[float, float]:
-    res = _evolve_point(cfg, xi)
+    res = _evolve_point(cfg, xi, observables=("sz1", "sz2"))
     try:
         s1 = phaselock.TimeSeries(res.times, res.observables["sz1"])
         s2 = phaselock.TimeSeries(res.times, res.observables["sz2"])
@@ -258,10 +258,12 @@ def cmd_info_sweep(cfg: ExperimentConfig) -> list[Path]:
     written = [csv_path]
 
     if cfg.save_states:
-        for (xi, gamma, j_xy), rho in zip(points, states):
+        # each matrix column is formatted once over all states; a file takes 4 rows of each
+        columns = [Cells(states[:, :, c].ravel()) for c in range(4)]
+        for k, (xi, gamma, j_xy) in enumerate(points):
             name = f"rho_ss_{XI_TAG.format(xi)}_{GAMMA_TAG.format(gamma)}_{J_TAG.format(j_xy)}.csv"
-            save_matrix_csv(out / name, rho)
             written.append(out / name)
+            save_matrix_csv(written[-1], [col[4 * k:4 * k + 4] for col in columns])
 
     # both measures on the grid, indexed [xi, gamma, j_xy] in sorted order
     shape = (len(xis), len(gammas), len(jxys))

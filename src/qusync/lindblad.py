@@ -119,6 +119,7 @@ _PAULI_TERMS = {
 }
 for _m in _OPS.values():
     _m.setflags(write=False)
+_OBSERVABLES = (*_PAULI_TERMS, "purity")  # all that evolve computes by default
 
 
 def _expectation(traj: np.ndarray, terms) -> np.ndarray:
@@ -267,7 +268,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> EvolutionResult:
+def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float, *,
+           observables=_OBSERVABLES) -> EvolutionResult:
     """Propagate rho0 on a uniform grid, recording states and observables.
 
     Each step applies the one-step propagator P = exp(L dt), which is exact
@@ -282,12 +284,14 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     The recorded states are checked as one stack by ``check_density_matrix``
     at ``atol=STATE_ATOL``; a violation raises its ``ValidationError``,
     which names the first offending step, e.g. ``step 7 is not Hermitian (max
-    deviation nan)``.  The observables are ``s{x,y,z}{1,2}``, each from the
-    four entries where its Pauli matrix is non-zero, and the purity, with
-    the bits of dense einsums over all 16 entries.
-    A step count whose states numpy cannot size raises ``ValidationError``
-    naming it, ``t_final`` and ``dt``, before anything is allocated.
+    deviation nan)``.  It computes the ``observables`` named, by default all
+    of ``s{x,y,z}{1,2}``, each from the four entries where its Pauli matrix is
+    non-zero, and ``purity``, with the bits of dense einsums over all 16 entries.
+    An unknown name, or a step count whose states numpy cannot size (naming
+    it, ``t_final`` and ``dt``), raises ``ValidationError`` before anything is allocated.
     """
+    if unknown := [name for name in observables if name not in _OBSERVABLES]:
+        raise ValidationError(f"unknown observables {unknown}, expected some of {_OBSERVABLES}")
     require_finite(dt=dt, t_final=t_final)
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -319,10 +323,9 @@ def evolve(p: ModelParams, rho0: np.ndarray, t_final: float, dt: float) -> Evolu
     states = traj.reshape(4, 4, -1).transpose(2, 1, 0)
     check_density_matrix(states, atol=STATE_ATOL, name="step")
 
-    observables = {name: _expectation(traj, terms) for name, terms in _PAULI_TERMS.items()}
-    observables["purity"] = _purity(states)
-    times = np.arange(n_steps + 1) * dt
-    return EvolutionResult(times=times, states=states, observables=observables)
+    return EvolutionResult(times=np.arange(n_steps + 1) * dt, states=states, observables={
+        name: _purity(states) if name == "purity" else _expectation(traj, _PAULI_TERMS[name])
+        for name in observables})
 
 
 def _null_spaces(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -448,7 +451,7 @@ def asymptotic_state(p: ModelParams, rho0: np.ndarray) -> np.ndarray:
 def save_evolution_csv(path, result: EvolutionResult) -> None:
     """Write the trajectory's ``OBSERVABLE_NAMES`` against t.  Here and in
     :func:`save_bloch_csv`, the times and observables may be
-    :class:`~qusync.operators.FloatCells`, formatted once for both tables."""
+    :class:`~qusync.operators.Cells`, formatted once for both tables."""
     obs = result.observables
     write_csv(path, ("t",) + OBSERVABLE_NAMES,
               [result.times] + [obs[n] for n in OBSERVABLE_NAMES])

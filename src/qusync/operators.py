@@ -23,7 +23,7 @@ __all__ = [
     "basis_ket",
     "require_finite",
     "check_density_matrix",
-    "FloatCells",
+    "Cells",
     "write_csv",
     "save_matrix_csv",
 ]
@@ -278,31 +278,36 @@ def _float_cells(x):
     return out
 
 
-class FloatCells:
-    """A float column formatted once, as the ``%.17g`` cells of
-    :func:`write_csv`, which writes it into any number of tables."""
+class Cells:
+    """A column formatted once into :func:`write_csv`'s (width, n) cell block,
+    floats by the exact ``%.17g`` kernel and the rest by :func:`_text_cells`;
+    ``cells[a:b]`` is a view of its rows a to b, for any number of tables."""
 
-    def __init__(self, x):
-        self.block = _float_cells(np.asarray(x, dtype=np.float64))
+    def __init__(self, column):
+        # a list of str as objects: numpy's U dtype strips each string's trailing NULs
+        col = np.asarray(column, object if np.asarray(column).dtype.kind == "U" else None)
+        self.block = (_float_cells(col.astype(np.float64, copy=False)) if col.dtype.kind == "f"
+                      else _text_cells(col))
 
     def __len__(self) -> int:
         return self.block.shape[1]
 
+    def __getitem__(self, rows: slice) -> "Cells":
+        view = object.__new__(Cells)
+        view.block = self.block[:, rows]
+        return view
 
-def _text_cells(columns, n):
-    """Non-float columns as (width, n) blocks of UTF-8 cells from one format
-    call: ``%.17g%+.17gj`` or ``str``; a NUL is stored as 0xff, which UTF-8 never writes."""
-    formats, values = [], []
-    parts = np.array([c for c in columns if c.dtype.kind == "c"], complex).view(float).tolist()
-    for col in columns:
-        if col.dtype.kind == "c":
-            formats.append(b"%.17g%+.17gj\0" * n)
-            values += parts.pop(0)
-        else:
-            formats.append(b"%s\0" * n)
-            values += [str(v).encode().replace(b"\0", b"\xff") for v in col.tolist()]
-    text = np.array((b"".join(formats) % tuple(values)).split(b"\0")[:-1], dtype=bytes)
-    return text.view(np.uint8).reshape(len(columns), n, text.itemsize).transpose(0, 2, 1)
+
+def _text_cells(col):
+    """A non-float column as a (width, n) block of UTF-8 cells: ``%.17g%+.17gj``
+    in one format call, or ``str``; a NUL is stored as 0xff, which UTF-8 never writes."""
+    if col.dtype.kind == "c":
+        values = col.astype(complex).view(float).tolist()
+        cells = (b"%.17g%+.17gj\0" * len(col) % tuple(values)).split(b"\0")[:-1]
+    else:
+        cells = [str(v).encode().replace(b"\0", b"\xff") for v in col.tolist()]
+    text = np.array(cells, dtype=bytes)
+    return text.view(np.uint8).reshape(len(col), text.itemsize).T
 
 
 def _cell_rows(blocks) -> bytes:
@@ -318,29 +323,18 @@ def _cell_rows(blocks) -> bytes:
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV rows after ``header`` (column names, or
-    ``None``).  The cell pass formats all float columns in one exact ``%.17g`` kernel call
-    (a :class:`FloatCells` is formatted already), the others by :func:`_text_cells`."""
-    # a list of str as objects: numpy's U dtype strips each string's trailing NULs
-    columns = [col if isinstance(col, FloatCells) else np.asarray(
-        col, object if np.asarray(col).dtype.kind == "U" else None) for col in columns]
-    n_rows = len(columns[0]) if columns else 0
-    if any(len(col) != n_rows for col in columns):
-        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
-    arrays = [col for col in columns if isinstance(col, np.ndarray)]
-    floats = [col for col in arrays if col.dtype.kind == "f"]
-    floats = iter(np.split(_float_cells(np.concatenate(floats, dtype=np.float64)),
-                           len(floats), axis=1) if floats else ())
-    texts = iter(_text_cells([col for col in arrays if col.dtype.kind != "f"], n_rows))
-    blocks = [col.block if isinstance(col, FloatCells)
-              else next(floats if col.dtype.kind == "f" else texts) for col in columns]
+    ``None``).  Each column is a :class:`Cells` or is formatted into one."""
+    cells = [col if isinstance(col, Cells) else Cells(col) for col in columns]
+    n_rows = len(cells[0]) if cells else 0
+    if any(len(col) != n_rows for col in cells):
+        raise ValueError(f"columns differ in length: {[len(col) for col in cells]}")
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, BLOCK_ROWS):
-            fh.write(_cell_rows(blocks if n_rows <= BLOCK_ROWS else
-                                [block[:, start:start + BLOCK_ROWS] for block in blocks]))
+            fh.write(_cell_rows([col.block[:, start:start + BLOCK_ROWS] for col in cells]))
 
 
-def save_matrix_csv(path, m: np.ndarray) -> None:
-    """Write a complex matrix as CSV, one matrix row per line, no header."""
-    write_csv(path, None, np.asarray(m, dtype=complex).T)
+def save_matrix_csv(path, m) -> None:
+    """Write a complex matrix, or its columns' :class:`Cells`, as CSV rows, no header."""
+    write_csv(path, None, m if all(isinstance(c, Cells) for c in m) else np.asarray(m, complex).T)

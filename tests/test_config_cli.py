@@ -884,7 +884,7 @@ def test_info_sweep_leaves_out_numpy_ma(tmp_path):
 
 def test_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
     # The kernel saves evolve most of its formatting time: every cell block
-    # of an evolve table comes from _float_cells.  Every table takes the one
+    # of an evolve table comes from _float_cells, through a Cells.  Every table takes the one
     # row pass, and the float columns of info-sweep's table reach the kernel
     # too.
     from qusync import experiments, lindblad, operators
@@ -925,6 +925,45 @@ def test_evolve_tables_reach_the_csv_kernel(tmp_path, monkeypatch):
                for name in tables)
     assert from_kernel["info_sweep.csv"] == [True] * 6 + [False]
     assert len(states) == 2
+
+
+def test_info_sweep_state_files_equal_each_state_written_alone(tmp_path, monkeypatch):
+    # the default grid's 1008 state files come from one Cells per matrix
+    # column over the whole stack and one save_matrix_csv call per file; each
+    # file is the bytes of its state written alone
+    from itertools import product
+
+    from qusync import experiments, operators
+
+    cells, saved = [], []
+    monkeypatch.setattr(experiments, "Cells", lambda column: cells.append(
+        operators.Cells(column)) or cells[-1])
+    monkeypatch.setattr(experiments, "save_matrix_csv", lambda path, m: saved.append(
+        path) or operators.save_matrix_csv(path, m))
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "grid"), save_states=True).validate()
+    cmd_info_sweep(cfg)
+    points = list(product(*map(experiments._axis, (cfg.xi_values, cfg.gamma_values,
+                                                   cfg.jxy_values))))
+    states, _ = experiments._info_states(cfg, points)
+    assert len(cells) == 4 and [len(c) for c in cells] == [4 * 1008] * 4
+    assert len(saved) == len(states) == 1008
+    alone = tmp_path / "alone.csv"
+    for path, rho in zip(saved, states):
+        operators.save_matrix_csv(alone, rho)
+        assert path.read_bytes() == alone.read_bytes(), path.name
+
+
+def test_sync_sweep_computes_no_purity(tmp_path, monkeypatch):
+    # sync-sweep reads sz1 and sz2 alone, so the purity is never taken
+    from qusync import lindblad
+
+    def refused(states):
+        raise AssertionError("sync-sweep computed the purity")
+
+    monkeypatch.setattr(lindblad, "_purity", refused)
+    written = cmd_sync_sweep(ExperimentConfig(xi_values=(-0.5, 0.3), t_final=20.0,
+                                              out_dir=str(tmp_path / "sync")).validate())
+    assert [p.name for p in written][0] == "sync_sweep.csv"
 
 
 def test_discord_bench_seeds_beyond_int64_are_exact(tmp_path):

@@ -580,6 +580,26 @@ def test_bloch_csv_export(tmp_path):
     assert norms.max() <= 1.0 + 1e-9  # Bloch vectors stay inside the sphere
 
 
+def test_evolve_computes_the_observables_named():
+    # a subset is computed alone, bit for bit as in the default set, which
+    # holds all seven
+    p = lb.ModelParams(xi=0.3)
+    full = lb.evolve(p, ket_density("10"), t_final=2.0, dt=0.01)
+    assert list(full.observables) == ["sz1", "sz2", "sx1", "sx2", "sy1", "sy2", "purity"]
+    for names in (("sz1",), ("purity", "sy2"), ()):
+        res = lb.evolve(p, ket_density("10"), t_final=2.0, dt=0.01, observables=names)
+        assert list(res.observables) == list(names)
+        for name in names:
+            assert np.array_equal(res.observables[name], full.observables[name])
+        assert np.array_equal(res.states, full.states)
+
+
+def test_evolve_refuses_an_unknown_observable():
+    with pytest.raises(ValidationError, match="'sz3'"):
+        lb.evolve(FIG_PARAMS, ket_density("10"), t_final=2.0, dt=0.01,
+                  observables=("sz1", "sz3"))
+
+
 def test_bell_state_helper_consistency(tmp_path):
     # steady-state matrices reuse the operator CSV format
     from qusync.operators import save_matrix_csv

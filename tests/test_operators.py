@@ -456,8 +456,8 @@ def test_evolution_csvs_same_bytes_on_both_paths(monkeypatch, tmp_path):
 
     def formatted():
         # the columns as evolve formats them, once for both tables
-        return replace(res, times=ops.FloatCells(res.times), observables={
-            name: ops.FloatCells(values) for name, values in res.observables.items()})
+        return replace(res, times=ops.Cells(res.times), observables={
+            name: ops.Cells(values) for name, values in res.observables.items()})
 
     for save in (lindblad.save_evolution_csv, lindblad.save_bloch_csv):
         percent, kernel = both_paths(monkeypatch, tmp_path, lambda path: save(path, res))
@@ -548,12 +548,60 @@ def test_write_csv_keeps_nul_inside_string_cells(tmp_path):
 
 def test_write_csv_zero_rows_writes_the_header_alone(tmp_path):
     columns = [np.zeros(0), np.zeros(0, int), np.zeros(0, complex), np.zeros(0, str),
-               ops.FloatCells([])]
+               ops.Cells([]), ops.Cells(["x", "y"])[1:1]]
     path = tmp_path / "empty.csv"
-    ops.write_csv(path, ("a", "b", "c", "d", "e"), columns)
-    assert path.read_bytes() == b"a,b,c,d,e\n"
+    ops.write_csv(path, ("a", "b", "c", "d", "e", "f"), columns)
+    assert path.read_bytes() == b"a,b,c,d,e,f\n"
     ops.write_csv(path, None, columns)
     assert path.read_bytes() == b""
+
+
+def cell_rule_columns(n):
+    """One column of each kind the cell rule formats, n rows each."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
+    floats[::7] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16][:len(floats[::7])]
+    complexes = floats + 1j * rng.standard_normal(n)
+    complexes.imag[::5] = -0.0
+    ints = [2**64 + k if k % 3 == 0 else -k for k in range(n)]
+    texts = [("", "a\0", "\0b", "é ✓", "x")[k % 5] for k in range(n)]
+    return {"float": floats, "complex": complexes, "int": ints, "str": texts}
+
+
+@pytest.mark.parametrize("rows", [(0, 0), (0, 1), (3, 7), (0, 37), (36, 37), (12, 12)])
+def test_cells_rows_write_as_the_sliced_columns(tmp_path, rows):
+    # a Cells formatted once over 37 rows and sliced gives the bytes of the
+    # sliced column formatted alone, zero rows included
+    a, b = rows
+    raw = cell_rule_columns(37)
+    cells = [ops.Cells(col) for col in raw.values()]
+    assert [len(c) for c in cells] == [37] * 4 and [len(c[a:b]) for c in cells] == [b - a] * 4
+    header = tuple(raw)
+    path = tmp_path / "c.csv"
+    ops.write_csv(path, header, [c[a:b] for c in cells])
+    sliced = path.read_bytes()
+    ops.write_csv(path, header, [col[a:b] for col in raw.values()])
+    assert sliced == path.read_bytes()
+    want = [",".join(header)] + [
+        "%.17g,%.17g%+.17gj,%d,%s" % (x, z.real, z.imag, i, t)
+        for x, z, i, t in zip(*(list(col[a:b]) for col in raw.values()))]
+    assert sliced == ("\n".join(want) + "\n").encode()
+    # a slice is a view of the one block: nothing is formatted again
+    assert all(np.shares_memory(c[a:b].block, c.block) for c in cells if b > a)
+
+
+def test_matrix_written_from_its_column_cells(tmp_path):
+    # save_matrix_csv takes a matrix or its columns' Cells, sliced out of a
+    # stack formatted once, with the same bytes
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    columns = [ops.Cells(stack[:, :, c].ravel()) for c in range(4)]
+    path = tmp_path / "m.csv"
+    for k, m in enumerate(stack):
+        ops.save_matrix_csv(path, m)
+        alone = path.read_bytes()
+        ops.save_matrix_csv(path, [col[4 * k:4 * k + 4] for col in columns])
+        assert path.read_bytes() == alone
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
